@@ -29,16 +29,18 @@ from .instances import (
     digest,
     generate_graph,
     generate_set_cover,
-    graph_to_text,
-    read_graph,
-    read_set_cover,
-    set_cover_to_text,
+    graph_from_text,
+    set_cover_from_text,
     validate,
     validate_b_matching,
     vertex_cover_encoding,
     write_graph,
     write_set_cover,
 )
+
+# Not called here: perfbench/spans.py times these names in this module's
+# namespace, so they stay importable from it.
+from .instances import graph_to_text, read_graph, read_set_cover, set_cover_to_text  # noqa: F401
 from .oracles import (
     brute_force,
     is_maximal_clique,
@@ -121,16 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _rational(text: str, flag: str) -> Fraction:
+    """Parse a rational option value; a bad one is malformed input (exit 3)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInstance(f"{flag} must be a rational, got {text!r}") from exc
+
+
 def _load_instance(algorithm: str, path: str):
-    if algorithm in GRAPH_ALGS:
-        return read_graph(path)
-    return read_set_cover(path)
+    """Read the instance file once: returns the parsed instance and its text."""
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    parse = graph_from_text if algorithm in GRAPH_ALGS else set_cover_from_text
+    return parse(text), text
 
 
 def _run_algorithm(args, instance) -> tuple[RunResult, object]:
-    common = dict(mu=args.mu, seed=args.seed, retry_cap=args.retries)
+    common = dict(mu=_rational(args.mu, "--mu"), seed=args.seed, retry_cap=args.retries)
     if args.c is not None:
-        common["c"] = args.c
+        common["c"] = _rational(args.c, "--c")
     if args.eta is not None:
         common["eta"] = args.eta
     alg = args.algorithm
@@ -148,7 +160,7 @@ def _run_algorithm(args, instance) -> tuple[RunResult, object]:
         if args.epsilon is None:
             raise MalformedInstance("--epsilon is required for bmatch")
         b = args.b if args.b is not None else 1
-        return rm.approx_b_matching(instance, b, Fraction(args.epsilon), **common), b
+        return rm.approx_b_matching(instance, b, _rational(args.epsilon, "--epsilon"), **common), b
     if alg == "mis-simple":
         return hungry.mis_simple(instance, **common), None
     if alg == "mis-fast":
@@ -158,7 +170,7 @@ def _run_algorithm(args, instance) -> tuple[RunResult, object]:
     if alg == "sc-lnD":
         if args.epsilon is None:
             raise MalformedInstance("--epsilon is required for sc-lnD")
-        return psc.approx_sc_lnDelta(instance, Fraction(args.epsilon), **common), None
+        return psc.approx_sc_lnDelta(instance, _rational(args.epsilon, "--epsilon"), **common), None
     if alg == "colour-v":
         return col.vertex_colouring(instance, kappa=args.kappa, **common), None
     if alg == "colour-e":
@@ -249,15 +261,13 @@ def _bound_for(algorithm: str, instance, epsilon: Fraction, b: int) -> tuple[Fra
 def cmd_generate(args) -> int:
     if args.kind == "graph":
         g = generate_graph(args.n, args.c, (args.w_lo, args.w_hi), args.seed)
-        write_graph(g, args.out)
-        text = graph_to_text(g)
+        text = write_graph(g, args.out)
         print(f"graph n={g.n} m={g.m} digest={digest(text)}")
     else:
         if args.m is None:
             raise MalformedInstance("--m is required for setcover")
         inst = generate_set_cover(args.n, args.m, args.density, (args.w_lo, args.w_hi), args.seed)
-        write_set_cover(inst, args.out)
-        text = set_cover_to_text(inst)
+        text = write_set_cover(inst, args.out)
         print(f"setcover n={inst.n} m={inst.m} f={inst.frequency} digest={digest(text)}")
     return 0
 
@@ -269,9 +279,8 @@ def cmd_run(args) -> int:
         return 0
     if not args.algorithm or not args.instance:
         raise MalformedInstance("run needs an algorithm and an instance path")
-    instance = _load_instance(args.algorithm, args.instance)
-    with open(args.instance, "r", encoding="ascii") as fh:
-        inst_digest = digest(fh.read())
+    instance, text = _load_instance(args.algorithm, args.instance)
+    inst_digest = digest(text)
     try:
         result, aux = _run_algorithm(args, instance)
     except RetriesExhausted as exc:
@@ -320,10 +329,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_instance(args.algorithm, args.instance)
+    instance, _ = _load_instance(args.algorithm, args.instance)
     with open(args.solution, "r", encoding="ascii") as fh:
         kind, payload = solution_from_text(fh.read())
-    epsilon = Fraction(args.epsilon)
+    epsilon = _rational(args.epsilon, "--epsilon")
     feasible = False
     objective = None
     if kind == "matching":
@@ -392,7 +401,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    instance = _load_instance(args.algorithm, args.instance)
+    instance, _ = _load_instance(args.algorithm, args.instance)
     try:
         aux0 = args.b if args.algorithm == "bmatch" else None
         opt = _oracle_value(args.algorithm, instance, aux0)

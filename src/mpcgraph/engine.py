@@ -7,6 +7,14 @@ Every payload is sized in words (one word per integer/rational/id) and
 checked against the per-machine budget; violations abort the run with the
 trace preserved.
 
+Accounting is proportional to what changed.  Each message is sized once,
+at send, and carries that size to its receiver's inbox and, for broadcast
+payloads and aggregate parts, into its store.  Each machine keeps the size
+of every store value it has seen; when a step returns a new store, only
+the values that are not the same objects as before are sized again.  So a
+step must never mutate a store value, or a value it has sent, in place:
+it builds a new one instead.
+
 Determinism: machine step RNGs derive from hash(seed, round, machine id)
 and inboxes are sorted by (sender, key), so traces are byte-identical for
 a fixed ClusterConfig regardless of execution order.
@@ -19,6 +27,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
@@ -69,11 +78,35 @@ class Payload:
         return f"Payload({self.word_size}w)"
 
 
+_ONE_WORD = (int, str, Fraction, bool, float)
+_SCALARS = frozenset(_ONE_WORD)
+_COLLECTIONS = frozenset((tuple, list, set, frozenset))
+
+
 def words(obj) -> int:
     """Word count of a message or store value."""
+    # Exact-type fast path; subclasses (namedtuples, ...) fall through to
+    # the isinstance checks below and get the same counts.
+    kind = type(obj)
+    if kind in _SCALARS:
+        return 1
+    if kind in _COLLECTIONS:
+        total = len(obj)
+        for x in obj:
+            if type(x) not in _SCALARS:
+                total += words(x) - 1
+        return total
+    if kind is dict:
+        total = 2 * len(obj)
+        for k, v in obj.items():
+            if type(k) not in _SCALARS:
+                total += words(k) - 1
+            if type(v) not in _SCALARS:
+                total += words(v) - 1
+        return total
     if isinstance(obj, Payload):
         return obj.word_size
-    if isinstance(obj, (int, str, Fraction, bool, float)):
+    if isinstance(obj, _ONE_WORD):
         return 1
     if obj is None:
         return 0
@@ -213,6 +246,7 @@ class RoundRecord:
 # Message key prefixes handled by the engine's delivery layer.
 _BC = "bc:"
 _AGG = "agg:"
+_BY_SENDER_KEY = itemgetter(0, 1)
 
 
 class Cluster:
@@ -223,7 +257,10 @@ class Cluster:
         m = config.machine_count
         self.stores: list[dict] = [dict() for _ in range(m)]
         self._store_words: list[int] = [0] * m
-        self._pending: list[list[tuple[int, str, object]]] = [[] for _ in range(m)]
+        # Per machine: store key -> (value, its word size).
+        self._sizes: list[dict] = [dict() for _ in range(m)]
+        # Per destination: (sender, key, value, word size) sent this round.
+        self._pending: list[list[tuple[int, str, object, int]]] = [[] for _ in range(m)]
         self.rounds: list[RoundRecord] = []
         self._order = list(range(m)) if exec_order is None else list(exec_order)
 
@@ -236,14 +273,14 @@ class Cluster:
     def holds(self, mid: int, key: str) -> bool:
         if key in self.stores[mid]:
             return True
-        return any(k == _BC + key for _, k, _ in self._pending[mid])
+        return any(k == _BC + key for _, k, _, _ in self._pending[mid])
 
     def preload(self, mid: int, key: str, value) -> None:
         """Initial input placement (before round 0); not a charged round."""
         if self.rounds:
             raise RuntimeError("preload only before the first round")
         self.stores[mid][key] = value
-        self._store_words[mid] = store_words(self.stores[mid])
+        self._store_words[mid] = self._sized(mid, self.stores[mid])
 
     def total_rounds(self) -> int:
         return len(self.rounds)
@@ -278,11 +315,11 @@ class Cluster:
         new_words: list[int] = list(self._store_words)
 
         for mid in self._order:
-            inbox = sorted(inboxes[mid], key=lambda t: (t[0], t[1]))
-            in_words = sum(words(v) for _, _, v in inbox)
+            inbox = sorted(inboxes[mid], key=_BY_SENDER_KEY)
+            in_words = sum(t[3] for t in inbox)
             received[mid] = in_words
             store = self.stores[mid]
-            absorbed, visible = self._absorb(store, inbox)
+            absorbed, visible, delivered = self._absorb(store, inbox)
             rng = Random(derive_seed(self.config.seed, idx, mid))
             result = step(mid, absorbed, tuple(visible), rng)
             new_store, outbox = result
@@ -290,12 +327,17 @@ class Cluster:
             for dst, key, value in outbox:
                 if not (0 <= dst < m):
                     raise ValueError(f"message to unknown machine {dst}")
-                out_words += words(value)
-                self._pending[dst].append((mid, key, value))
+                size = words(value)
+                out_words += size
+                self._pending[dst].append((mid, key, value, size))
                 messages += 1
             sent[mid] = out_words
             before = self._store_words[mid]
-            after = before if new_store is store else store_words(new_store)
+            if new_store is store:
+                after = before
+            else:
+                self._sizes[mid].update(delivered)
+                after = self._sized(mid, new_store)
             peak = max(before + in_words, after + out_words)
             peaks[mid] = peak
             new_stores[mid] = new_store
@@ -324,28 +366,46 @@ class Cluster:
             raise MemoryExceeded(mid, w, f"peak in round {idx} ({label})")
         return record
 
+    def _sized(self, mid: int, store: dict) -> int:
+        """Words in ``store``, sizing only values not cached for ``mid``."""
+        cache = self._sizes[mid]
+        sizes = {}
+        total = 0
+        for key, value in store.items():
+            entry = cache.get(key)
+            if entry is None or entry[0] is not value:
+                entry = (value, words(value))
+            sizes[key] = entry
+            total += entry[1]
+        self._sizes[mid] = sizes
+        return total
+
     @staticmethod
-    def _absorb(store: dict, inbox: list) -> tuple[dict, list]:
-        """Apply engine-level deliveries (broadcast payloads, fold parts)."""
-        staged = None
-        fresh: set[str] = set()
+    def _absorb(store: dict, inbox: list) -> tuple[dict, list, dict]:
+        """Apply engine-level deliveries (broadcast payloads, fold parts).
+
+        Returns the store the step sees, the messages it sees, and the
+        (value, words) of every store key the deliveries wrote, from the
+        sizes the messages carry.
+        """
+        delivered: dict[str, tuple] = {}
         visible = []
-        for sender, key, value in inbox:
+        for sender, key, value, size in inbox:
             if key.startswith(_BC):
-                if staged is None:
-                    staged = dict(store)
-                staged[key[len(_BC) :]] = value
+                delivered[key[len(_BC) :]] = (value, size)
             elif key.startswith(_AGG):
-                if staged is None:
-                    staged = dict(store)
                 name = key[len(_AGG) :] + "__parts"
-                if name not in fresh:
-                    staged[name] = []
-                    fresh.add(name)
-                staged[name] = staged[name] + [value]
+                parts, total = delivered.get(name) or ([], 0)
+                parts.append(value)
+                delivered[name] = (parts, total + size)
             else:
                 visible.append((sender, key, value))
-        return (store if staged is None else staged), visible
+        if not delivered:
+            return store, visible, delivered
+        staged = dict(store)
+        for name, (value, _) in delivered.items():
+            staged[name] = value
+        return staged, visible, delivered
 
     # -- collective operations ---------------------------------------------
 
@@ -361,7 +421,7 @@ class Cluster:
         if self.config.free_broadcast or m == 1:
             for mid in range(m):
                 self.stores[mid][key] = payload
-                self._store_words[mid] = store_words(self.stores[mid])
+                self._store_words[mid] = self._sized(mid, self.stores[mid])
             return 0
         k = self.config.fanout
         depth = log_ceil(m, k)
@@ -431,7 +491,7 @@ class Cluster:
         for wave in range(1, depth + 1):
             self.run_round(make_step(wave), label=f"{label}[{wave}/{depth}]")
         value = self.stores[0][key]
-        for _, k2, v in self._pending[0]:
+        for _, k2, v, _ in self._pending[0]:
             if k2 == _AGG + key:
                 value = combine(value, v)
         return value, depth

@@ -7,6 +7,7 @@ depend on floating point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -26,8 +27,13 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected int, str or Fraction, got {type(value).__name__}")
 
 
-def ipow_floor(base: int, exponent: Fraction) -> int:
-    """floor(base ** exponent), exactly, for base >= 0 and exponent >= 0."""
+def _floor_root(base: int, exponent) -> tuple[int, bool]:
+    """(floor(base ** exponent), whether it is exact) for base, exponent >= 0.
+
+    A log-space estimate settles the answer unless the root lies within
+    its rounding error of an integer (a large root, or an exact or
+    near-exact power); only then are integer powers compared.
+    """
     if base < 0:
         raise ValueError("base must be non-negative")
     exponent = Fraction(exponent)
@@ -35,24 +41,35 @@ def ipow_floor(base: int, exponent: Fraction) -> int:
         raise ValueError("exponent must be non-negative")
     p, q = exponent.numerator, exponent.denominator
     if base in (0, 1) or p == 0:
-        return 1 if p == 0 else base
+        return (1 if p == 0 else base), True
+    log_root = p / q * math.log(base)
+    # exp() overflows past e**709: estimate the leading 60 bits, then shift.
+    shift = max(0, int(log_root / math.log(2)) - 60)
+    k = int(math.exp(log_root - shift * math.log(2))) << shift
+    slack = 1e-12 * max(1.0, log_root)
+    if math.log(k) < log_root - slack and math.log(k + 1) > log_root + slack:
+        return k, False
     target = base**p
-    # Largest k with k**q <= base**p: float guess, then exact adjustment.
-    k = max(1, int(round(float(base) ** (p / q))))
-    while k**q > target:
-        k -= 1
-    while (k + 1) ** q <= target:
-        k += 1
-    return k
+    k += 1 + (k >> 30)
+    while k**q <= target:
+        k *= 2
+    # Integer Newton steps from above stop at the floor of the root.
+    while True:
+        below = ((q - 1) * k + target // k ** (q - 1)) // q
+        if below >= k:
+            return k, k**q == target
+        k = below
+
+
+def ipow_floor(base: int, exponent: Fraction) -> int:
+    """floor(base ** exponent), exactly, for base >= 0 and exponent >= 0."""
+    return _floor_root(base, exponent)[0]
 
 
 def ipow_ceil(base: int, exponent: Fraction) -> int:
     """ceil(base ** exponent), exactly, for base >= 0 and exponent >= 0."""
-    f = ipow_floor(base, exponent)
-    p, q = Fraction(exponent).numerator, Fraction(exponent).denominator
-    if f**q == base**p:
-        return f
-    return f + 1
+    k, exact = _floor_root(base, exponent)
+    return k if exact else k + 1
 
 
 def pow_threshold(base: int, exponent: Fraction) -> int:

@@ -507,9 +507,12 @@ def set_cover_from_text(text: str) -> SetCoverInstance:
     return make_set_cover(n, m, sets, weights)
 
 
-def write_graph(graph: Graph, path) -> None:
+def write_graph(graph: Graph, path) -> str:
+    """Write the graph file; returns the text written."""
+    text = graph_to_text(graph)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_text(graph))
+        fh.write(text)
+    return text
 
 
 def read_graph(path) -> Graph:
@@ -517,9 +520,12 @@ def read_graph(path) -> Graph:
         return graph_from_text(fh.read())
 
 
-def write_set_cover(instance: SetCoverInstance, path) -> None:
+def write_set_cover(instance: SetCoverInstance, path) -> str:
+    """Write the set-cover file; returns the text written."""
+    text = set_cover_to_text(instance)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(set_cover_to_text(instance))
+        fh.write(text)
+    return text
 
 
 def read_set_cover(path) -> SetCoverInstance:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mpcgraph import cli
-from mpcgraph.instances import read_graph, read_set_cover
+from mpcgraph.instances import digest, read_graph, read_set_cover
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +19,7 @@ def test_generate_graph_and_determinism(tmp_path, capsys):
     first = path.read_bytes()
     code, out2 = run_cli(capsys, "generate", "graph", str(path), "--n", "6", "--c", "1/2", "--seed", "4")
     assert path.read_bytes() == first and out == out2
+    assert f"digest={digest(path.read_text())}" in out  # the digest of the bytes written
     g = read_graph(path)
     assert g.n == 6
 
@@ -29,6 +30,7 @@ def test_generate_setcover(tmp_path, capsys):
         capsys, "generate", "setcover", str(path), "--n", "5", "--m", "8", "--density", "0.4", "--seed", "2"
     )
     assert code == 0
+    assert f"digest={digest(path.read_text())}" in out
     inst = read_set_cover(path)
     assert inst.n == 5 and inst.m == 8
     inst.check_coverable()
@@ -65,6 +67,7 @@ def test_run_graph_algorithms(tmp_path, capsys, alg, extra):
     assert code == 0
     report = json.loads(out)
     assert report["algorithm"] == alg
+    assert report["instance_digest"] == digest(path.read_text())
     assert report["rounds_total"] >= 0
     doc = json.loads(trace.read_text())
     assert doc["schema"] == 1
@@ -115,6 +118,20 @@ def test_infeasible_input_exit_code(tmp_path, capsys):
     path.write_text("2 2\n1 1 0\n1 1 0\n")  # element 1 uncovered
     code, _ = run_cli(capsys, "run", "sc-f", str(path), "--seed", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("flag,value", [("--mu", "abc"), ("--epsilon", "x"), ("--c", "1/0")])
+def test_bad_rational_option_exit_code(tmp_path, capsys, flag, value):
+    path = tmp_path / "i.sc"
+    run_cli(capsys, "generate", "setcover", str(path), "--n", "4", "--m", "6", "--density", "0.5", "--seed", "5")
+    # A repeated option keeps its last value, so flag overrides the valid epsilon.
+    code = cli.main(["run", "sc-lnD", str(path), "--epsilon", "1/10", flag, value])
+    err = capsys.readouterr().err
+    assert code == 3 and flag in err and value in err
+    sol = tmp_path / "s.sol"
+    sol.write_text("cover\n")
+    code = cli.main(["verify", str(path), str(sol), "--algorithm", "sc-lnD", "--epsilon", "x"])
+    assert code == 3 and "--epsilon" in capsys.readouterr().err
 
 
 def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
 import json
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpcgraph.engine import (
     Cluster,
@@ -26,6 +29,57 @@ def cfg(machines, budget=10_000, fanout=2, seed=1, **kw):
     return ClusterConfig.derive(
         4, "1/5", seed=seed, machine_count=machines, memory_budget_words=budget, fanout=fanout, **kw
     )
+
+
+def naive_words(obj) -> int:
+    """Reference count by isinstance checks alone."""
+    if isinstance(obj, Payload):
+        return obj.word_size
+    if isinstance(obj, (int, str, Fraction, bool, float)):
+        return 1
+    if obj is None:
+        return 0
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return sum(naive_words(x) for x in obj)
+    if isinstance(obj, dict):
+        return sum(naive_words(k) + naive_words(v) for k, v in obj.items())
+    raise TypeError(type(obj).__name__)
+
+
+Edge = namedtuple("Edge", "u v w")
+
+_hashable = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.text(max_size=3),
+        st.fractions(max_denominator=9),
+        st.floats(allow_nan=False),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner),
+        st.frozensets(inner, max_size=4),
+        st.builds(Edge, inner, inner, inner),
+    ),
+    max_leaves=8,
+)
+_payloads = st.recursive(
+    _hashable,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.sets(_hashable, max_size=4),
+        st.dictionaries(_hashable, inner, max_size=4),
+        st.builds(Payload, inner),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_payloads)
+def test_words_matches_naive_recount(obj):
+    assert words(obj) == naive_words(obj)
 
 
 def test_word_sizing():
@@ -261,14 +315,44 @@ def test_trace_json_shape(tmp_path):
 
 
 def deep_payload_audit(cluster):
-    """Every Payload's cached word size must equal a from-scratch count."""
-    for store in cluster.stores:
+    """Every cached word size must equal a from-scratch count: each
+    Payload's, each machine's store total, and each in-flight message's.
+
+    Cached sizes stay honest only while no step mutates a store value or
+    a sent value in place.
+    """
+    for mid, store in enumerate(cluster.stores):
         for value in store.values():
             if isinstance(value, Payload):
                 assert words(value.value) == value.word_size
+        assert cluster._store_words[mid] == store_words(store)
+    for box in cluster._pending:
+        for _, _, value, size in box:
+            assert size == words(value)
 
 
-def test_driver_payload_sizes_are_honest():
+@pytest.fixture
+def audit_every_round(monkeypatch):
+    """Recount each round's received and sent words from scratch and run
+    deep_payload_audit after every round of every cluster."""
+    run_round = Cluster.run_round
+
+    def audited(cluster, step, label=""):
+        received = [sum(words(v) for _, _, v, _ in box) for box in cluster._pending]
+        record = run_round(cluster, step, label)
+        sent = [0] * cluster.machine_count
+        for box in cluster._pending:
+            for sender, _, value, _ in box:
+                sent[sender] += words(value)
+        assert record.words_received == tuple(received)
+        assert record.words_sent == tuple(sent)
+        deep_payload_audit(cluster)
+        return record
+
+    monkeypatch.setattr(Cluster, "run_round", audited)
+
+
+def test_driver_payload_sizes_are_honest(audit_every_round):
     from mpcgraph.colouring import edge_colouring, vertex_colouring
     from mpcgraph.hungry import maximal_clique, mis_fast, mis_simple
     from mpcgraph.instances import generate_graph, generate_set_cover

@@ -34,6 +34,48 @@ def test_ipow_matches_float_on_smooth_cases():
             assert abs(exact - approx) <= 1.0
 
 
+def reference_ipow_floor(base: int, exponent: Fraction) -> int:
+    """The float-guess-then-step routine: exact, but it raises base to the
+    numerator and its guess overflows for large bases."""
+    p, q = exponent.numerator, exponent.denominator
+    if base in (0, 1) or p == 0:
+        return 1 if p == 0 else base
+    target = base**p
+    k = max(1, int(round(float(base) ** (p / q))))
+    while k**q > target:
+        k -= 1
+    while (k + 1) ** q <= target:
+        k += 1
+    return k
+
+
+def test_ipow_matches_reference_on_small_exponents():
+    bases = list(range(0, 300)) + [1023, 1024, 1025, 1536, 2048, 4096, 8191, 8192, 10**5]
+    for base in bases:
+        for q in range(1, 9):
+            for p in range(0, 3 * q + 1):
+                e = Fraction(p, q)
+                floor = reference_ipow_floor(base, e)
+                exact = floor**e.denominator == base**e.numerator
+                assert ipow_floor(base, e) == floor, (base, e)
+                assert ipow_ceil(base, e) == (floor if exact else floor + 1), (base, e)
+
+
+def test_ipow_long_exponent_and_large_base():
+    # colour-v's default regime at n=1536: c rounds to 399999/1000000, so
+    # the exponent's denominator is 2000000; no huge power is needed here.
+    e = (Fraction(399999, 1000000) - Fraction(1, 5)) / 2
+    assert ipow_floor(1536, e) == 2
+    assert ipow_ceil(1536, e) == 3
+    half = Fraction(1, 2)
+    assert ipow_floor(10**400, half) == ipow_ceil(10**400, half) == 10**200
+    assert ipow_floor(10**400 - 1, half) == 10**200 - 1
+    assert ipow_ceil(10**400 + 1, half) == 10**200 + 1
+    for k in (2**53 + 1, 10**20 + 9):
+        assert ipow_floor(k**3 - 1, Fraction(1, 3)) == k - 1
+        assert ipow_ceil(k**3, Fraction(1, 3)) == k
+
+
 def test_pow_threshold():
     assert pow_threshold(1024, Fraction(9, 10)) == 512
     assert pow_threshold(1024, Fraction(0)) == 1
