@@ -10,15 +10,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
+from typing import Callable
 
 from . import colouring as col
 from . import hungry
 from . import parallel_setcover as psc
 from . import rlr_matching as rm
 from . import rlr_setcover as rsc
-from .engine import RetriesExhausted, RunResult, dump_trace
-from .exactmath import frac_decimal, frac_str, harmonic
+from .engine import RetriesExhausted, dump_trace
+from .exactmath import frac_decimal, frac_str
 from .instances import (
     Colouring,
     Cover,
@@ -30,6 +33,7 @@ from .instances import (
     generate_graph,
     generate_set_cover,
     graph_from_text,
+    malformed_numbers,
     set_cover_from_text,
     validate,
     validate_b_matching,
@@ -43,24 +47,145 @@ from .instances import (
 from .instances import graph_to_text, read_graph, read_set_cover, set_cover_to_text  # noqa: F401
 from .oracles import (
     brute_force,
+    eps_greedy_bound,
     is_maximal_clique,
     is_maximal_independent_set,
 )
 
+
+def _weight(value, instance, aux):
+    return value.weight(instance)
+
+
+def _vertex_cover_weight(value, instance, weights):
+    weights = weights or [Fraction(1)] * instance.n
+    return sum((weights[i] for i in value.set_ids), Fraction(0))
+
+
+def _size(value, instance, aux):
+    return len(value)
+
+
+def _colour_count(value, instance, aux):
+    return value.colour_count
+
+
+@dataclass(frozen=True)
+class Problem:
+    """What an algorithm's output is scored and checked against.
+
+    ``objective(value, instance, aux)`` scores a solution and ``oracle(
+    instance, aux)`` is the brute-force optimum (None: no oracle), where
+    ``aux(args)`` is the problem's extra input (vertex weights, capacity).
+    """
+
+    graph_input: bool
+    minimizing: bool
+    objective: Callable
+    oracle: Callable = lambda instance, aux: None
+    aux: Callable = lambda args: None
+
+    def ratio(self, objective, opt) -> Fraction | None:
+        """objective/OPT when minimizing, OPT/objective when maximizing;
+        None when that denominator is zero."""
+        num, den = (objective, opt) if self.minimizing else (opt, objective)
+        return Fraction(num) / den if den else None
+
+
+SET_COVER = Problem(False, True, _weight, lambda instance, aux: brute_force("setcover", instance)[0])
+VERTEX_COVER = Problem(
+    True,
+    True,
+    _vertex_cover_weight,
+    lambda instance, aux: brute_force("setcover", vertex_cover_encoding(instance, aux))[0],
+    aux=lambda args: _vertex_weights(args.vertex_weights),
+)
+MATCHING = Problem(True, False, _weight, lambda instance, aux: brute_force("matching", instance)[0])
+B_MATCHING = Problem(
+    True,
+    False,
+    _weight,
+    lambda instance, aux: brute_force("bmatching", instance, aux)[0],
+    aux=lambda args: 1 if args.b is None else args.b,
+)
+MAXIMAL_SET = Problem(True, False, _size)
+COLOURING = Problem(True, False, _colour_count)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One registered algorithm: its entry point ``module.entry``, looked up
+    at call time so that a patched entry point is the one that runs; the
+    keyword ``inputs(args, aux)`` it takes besides the instance and the
+    regime; and ``bound(instance, epsilon, b)``, its proven ratio and label.
+    """
+
+    summary: str
+    problem: Problem
+    module: ModuleType
+    entry: str
+    inputs: Callable = lambda args, aux: {}
+    bound: Callable | None = None
+
+    def run(self, instance, aux, args, common: dict):
+        return getattr(self.module, self.entry)(instance, **self.inputs(args, aux), **common)
+
+
+def _labelled(name: str, bound: Fraction) -> tuple[Fraction, str]:
+    return bound, f"{name}={frac_str(bound)}"
+
+
+def _kappa(args, aux) -> dict:
+    return {"kappa": args.kappa}
+
+
+def _factor_two(instance, epsilon, b):
+    return Fraction(2), "2"
+
+
 ALGORITHMS = {
-    "sc-f": "weighted set cover, weight <= f * OPT, O((c/mu)^2) rounds",
-    "vc-2": "weighted vertex cover, weight <= 2 * OPT, O(c/mu) rounds",
-    "match-2": "weighted matching, weight >= OPT / 2, O(c/mu) rounds",
-    "bmatch": "weighted b-matching, weight >= OPT / (3 - 2/max(2,b) + 2*eps)",
-    "mis-simple": "maximal independent set, O(1/mu^2) rounds",
-    "mis-fast": "maximal independent set, O(c/mu) rounds",
-    "clique": "maximal clique via lazy complement, O(1/mu) rounds",
-    "sc-lnD": "weighted set cover, weight <= (1+eps) * H_Delta * OPT",
-    "colour-v": "vertex colouring, (1 + o(1)) * Delta colours",
-    "colour-e": "edge colouring via per-group fan rotation, (1 + o(1)) * Delta colours",
+    "sc-f": Algorithm(
+        "weighted set cover, weight <= f * OPT, O((c/mu)^2) rounds",
+        SET_COVER,
+        rsc,
+        "approx_sc_f",
+        bound=lambda instance, epsilon, b: (Fraction(instance.frequency), f"f={instance.frequency}"),
+    ),
+    "vc-2": Algorithm(
+        "weighted vertex cover, weight <= 2 * OPT, O(c/mu) rounds",
+        VERTEX_COVER,
+        rsc,
+        "vertex_cover_2approx",
+        inputs=lambda args, aux: {"vertex_weights": aux},
+        bound=_factor_two,
+    ),
+    "match-2": Algorithm(
+        "weighted matching, weight >= OPT / 2, O(c/mu) rounds", MATCHING, rm, "approx_max_matching", bound=_factor_two
+    ),
+    "bmatch": Algorithm(
+        "weighted b-matching, weight >= OPT / (3 - 2/max(2,b) + 2*eps)",
+        B_MATCHING,
+        rm,
+        "approx_b_matching",
+        inputs=lambda args, aux: {"b": aux, "epsilon": _epsilon(args, "bmatch")},
+        bound=lambda instance, epsilon, b: _labelled("(3-2/max(2,b)+2eps)", 3 - Fraction(2, max(2, b)) + 2 * epsilon),
+    ),
+    "mis-simple": Algorithm("maximal independent set, O(1/mu^2) rounds", MAXIMAL_SET, hungry, "mis_simple"),
+    "mis-fast": Algorithm("maximal independent set, O(c/mu) rounds", MAXIMAL_SET, hungry, "mis_fast"),
+    "clique": Algorithm("maximal clique via lazy complement, O(1/mu) rounds", MAXIMAL_SET, hungry, "maximal_clique"),
+    "sc-lnD": Algorithm(
+        "weighted set cover, weight <= (1+eps) * H_Delta * OPT",
+        SET_COVER,
+        psc,
+        "approx_sc_lnDelta",
+        inputs=lambda args, aux: {"epsilon": _epsilon(args, "sc-lnD")},
+        bound=lambda instance, epsilon, b: _labelled("(1+eps)*H_Delta", eps_greedy_bound(instance, epsilon)),
+    ),
+    "colour-v": Algorithm("vertex colouring, (1 + o(1)) * Delta colours", COLOURING, col, "vertex_colouring", _kappa),
+    "colour-e": Algorithm(
+        "edge colouring via per-group fan rotation, (1 + o(1)) * Delta colours", COLOURING, col, "edge_colouring", _kappa
+    ),
 }
-GRAPH_ALGS = {"vc-2", "match-2", "bmatch", "mis-simple", "mis-fast", "clique", "colour-v", "colour-e"}
-MINIMIZING = {"sc-f", "vc-2", "sc-lnD"}
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -70,8 +195,32 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _count_arg(least: int) -> Callable[[str], int]:
+    """Type of an integer option that must be at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as malformed input: exit 2 means retries
+    exhausted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mpcgraph", description=__doc__)
+    p = _Parser(prog="mpcgraph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a random instance file")
@@ -89,14 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("algorithm", nargs="?", choices=sorted(ALGORITHMS))
     r.add_argument("instance", nargs="?")
     r.add_argument("--list", action="store_true", help="list algorithms and bounds")
-    r.add_argument("--mu", type=str, default="1/5")
-    r.add_argument("--c", type=str, default=None)
-    r.add_argument("--eta", type=int, default=None)
-    r.add_argument("--epsilon", type=str, default=None)
-    r.add_argument("--b", type=int, default=None)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--retries", type=int, default=3)
-    r.add_argument("--kappa", type=int, default=None)
+    r.add_argument("--kappa", type=_count_arg(1), default=None)
     r.add_argument("--vertex-weights", default=None, help="file with one rational per line (vc-2)")
     r.add_argument("--trace", default=None, help="write the trace JSON here")
     r.add_argument("--out", default=None, help="write the solution file here")
@@ -109,17 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--against-oracle", action="store_true")
     v.add_argument("--epsilon", type=str, default="1/10")
     v.add_argument("--b", type=int, default=1)
+    v.set_defaults(vertex_weights=None)
 
     b = sub.add_parser("bench", help="seed sweep, CSV on stdout")
     b.add_argument("algorithm", choices=sorted(ALGORITHMS))
     b.add_argument("instance")
     b.add_argument("--seeds", type=int, default=10)
-    b.add_argument("--mu", type=str, default="1/5")
-    b.add_argument("--c", type=str, default=None)
-    b.add_argument("--eta", type=int, default=None)
-    b.add_argument("--epsilon", type=str, default=None)
-    b.add_argument("--b", type=int, default=None)
-    b.add_argument("--retries", type=int, default=3)
+    b.set_defaults(kappa=None, vertex_weights=None)
+
+    for regime in (r, b):
+        regime.add_argument("--mu", type=str, default="1/5")
+        regime.add_argument("--c", type=str, default=None)
+        regime.add_argument("--eta", type=_count_arg(1), default=None)
+        regime.add_argument("--epsilon", type=str, default=None)
+        regime.add_argument("--b", type=int, default=None)
+        regime.add_argument("--retries", type=_count_arg(0), default=3)
     return p
 
 
@@ -131,76 +278,38 @@ def _rational(text: str, flag: str) -> Fraction:
         raise MalformedInstance(f"{flag} must be a rational, got {text!r}") from exc
 
 
-def _load_instance(algorithm: str, path: str):
-    """Read the instance file once: returns the parsed instance and its text."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    parse = graph_from_text if algorithm in GRAPH_ALGS else set_cover_from_text
-    return parse(text), text
-
-
-def _run_algorithm(args, instance) -> tuple[RunResult, object]:
+def _common(args) -> dict:
+    """The regime keywords every algorithm takes."""
     common = dict(mu=_rational(args.mu, "--mu"), seed=args.seed, retry_cap=args.retries)
     if args.c is not None:
         common["c"] = _rational(args.c, "--c")
     if args.eta is not None:
         common["eta"] = args.eta
-    alg = args.algorithm
-    if alg == "sc-f":
-        return rsc.approx_sc_f(instance, **common), None
-    if alg == "vc-2":
-        weights = None
-        if args.vertex_weights:
-            with open(args.vertex_weights, "r", encoding="ascii") as fh:
-                weights = [Fraction(line.strip()) for line in fh if line.strip()]
-        return rsc.vertex_cover_2approx(instance, weights, **common), weights
-    if alg == "match-2":
-        return rm.approx_max_matching(instance, **common), None
-    if alg == "bmatch":
-        if args.epsilon is None:
-            raise MalformedInstance("--epsilon is required for bmatch")
-        b = args.b if args.b is not None else 1
-        return rm.approx_b_matching(instance, b, _rational(args.epsilon, "--epsilon"), **common), b
-    if alg == "mis-simple":
-        return hungry.mis_simple(instance, **common), None
-    if alg == "mis-fast":
-        return hungry.mis_fast(instance, **common), None
-    if alg == "clique":
-        return hungry.maximal_clique(instance, **common), None
-    if alg == "sc-lnD":
-        if args.epsilon is None:
-            raise MalformedInstance("--epsilon is required for sc-lnD")
-        return psc.approx_sc_lnDelta(instance, _rational(args.epsilon, "--epsilon"), **common), None
-    if alg == "colour-v":
-        return col.vertex_colouring(instance, kappa=args.kappa, **common), None
-    if alg == "colour-e":
-        return col.edge_colouring(instance, kappa=args.kappa, **common), None
-    raise ValueError(alg)
+    return common
 
 
-def _objective(algorithm: str, value, instance, aux) -> Fraction | int:
-    if algorithm in ("sc-f", "sc-lnD"):
-        return value.weight(instance)
-    if algorithm == "vc-2":
-        weights = aux or [Fraction(1)] * instance.n
-        return sum((weights[i] for i in value.set_ids), Fraction(0))
-    if algorithm in ("match-2", "bmatch"):
-        return value.weight(instance)
-    if algorithm in ("mis-simple", "mis-fast", "clique"):
-        return len(value)
-    return value.colour_count
+def _epsilon(args, algorithm: str) -> Fraction:
+    if args.epsilon is None:
+        raise MalformedInstance(f"--epsilon is required for {algorithm}")
+    return _rational(args.epsilon, "--epsilon")
 
 
-def _oracle_value(algorithm: str, instance, aux):
-    if algorithm in ("sc-f", "sc-lnD"):
-        return brute_force("setcover", instance)[0]
-    if algorithm == "vc-2":
-        return brute_force("setcover", vertex_cover_encoding(instance, aux))[0]
-    if algorithm == "match-2":
-        return brute_force("matching", instance)[0]
-    if algorithm == "bmatch":
-        return brute_force("bmatching", instance, aux)[0]
-    return None
+def _vertex_weights(path):
+    """The vc-2 weights file: one rational per line (None: unit weights)."""
+    if not path:
+        return None
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    with malformed_numbers(path):
+        return [Fraction(line.strip()) for line in text.splitlines() if line.strip()]
+
+
+def _load_instance(problem: Problem, path: str):
+    """Read the instance file once: returns the parsed instance and its text."""
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    parse = graph_from_text if problem.graph_input else set_cover_from_text
+    return parse(text), text
 
 
 def solution_to_text(algorithm: str, value, instance, aux) -> str:
@@ -243,21 +352,6 @@ def solution_from_text(text: str):
     raise MalformedInstance(f"unknown solution kind {kind!r}")
 
 
-def _bound_for(algorithm: str, instance, epsilon: Fraction, b: int) -> tuple[Fraction, str]:
-    if algorithm in ("vc-2", "match-2"):
-        return Fraction(2), "2"
-    if algorithm == "sc-f":
-        f = instance.frequency
-        return Fraction(f), f"f={f}"
-    if algorithm == "sc-lnD":
-        bound = (1 + epsilon) * harmonic(instance.max_set_size)
-        return bound, f"(1+eps)*H_Delta={frac_str(bound)}"
-    if algorithm == "bmatch":
-        bound = 3 - Fraction(2, max(2, b)) + 2 * epsilon
-        return bound, f"(3-2/max(2,b)+2eps)={frac_str(bound)}"
-    return Fraction(0), ""
-
-
 def cmd_generate(args) -> int:
     if args.kind == "graph":
         g = generate_graph(args.n, args.c, (args.w_lo, args.w_hi), args.seed)
@@ -275,14 +369,18 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     if args.list:
         for name in sorted(ALGORITHMS):
-            print(f"{name}: {ALGORITHMS[name]}")
+            print(f"{name}: {ALGORITHMS[name].summary}")
         return 0
     if not args.algorithm or not args.instance:
         raise MalformedInstance("run needs an algorithm and an instance path")
-    instance, text = _load_instance(args.algorithm, args.instance)
+    spec = ALGORITHMS[args.algorithm]
+    problem = spec.problem
+    instance, text = _load_instance(problem, args.instance)
     inst_digest = digest(text)
+    common = _common(args)
+    aux = problem.aux(args)
     try:
-        result, aux = _run_algorithm(args, instance)
+        result = spec.run(instance, aux, args, common)
     except RetriesExhausted as exc:
         report = {
             "algorithm": args.algorithm,
@@ -292,7 +390,7 @@ def cmd_run(args) -> int:
         }
         print(json.dumps(report, sort_keys=True, indent=2))
         return 2
-    objective = _objective(args.algorithm, result.value, instance, aux)
+    objective = Fraction(problem.objective(result.value, instance, aux))
     report = {
         "algorithm": args.algorithm,
         "instance_digest": inst_digest,
@@ -301,22 +399,19 @@ def cmd_run(args) -> int:
         "rounds_total": result.total_rounds,
         "peak_memory_words": result.cluster.peak_words(),
         "attempts": len(result.attempts),
-        "objective": frac_str(Fraction(objective)),
-        "objective_decimal": frac_decimal(Fraction(objective)),
+        "objective": frac_str(objective),
+        "objective_decimal": frac_decimal(objective),
     }
     if args.oracle:
         try:
-            opt = _oracle_value(args.algorithm, instance, aux)
+            opt = problem.oracle(instance, aux)
         except TooLarge as exc:
             opt = None
             report["oracle"] = f"too large: {exc}"
         if opt is not None:
             report["oracle"] = frac_str(opt)
-            obj = Fraction(objective)
-            if args.algorithm in MINIMIZING:
-                ratio = obj / opt if opt else Fraction(0)
-            else:
-                ratio = opt / obj if obj else Fraction(0)
+            ratio = problem.ratio(objective, opt)
+            ratio = Fraction(0) if ratio is None else ratio
             report["ratio"] = frac_str(ratio)
             report["ratio_decimal"] = frac_decimal(ratio)
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -329,15 +424,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance, _ = _load_instance(args.algorithm, args.instance)
+    spec = ALGORITHMS[args.algorithm]
+    problem = spec.problem
+    instance, _ = _load_instance(problem, args.instance)
     with open(args.solution, "r", encoding="ascii") as fh:
         kind, payload = solution_from_text(fh.read())
     epsilon = _rational(args.epsilon, "--epsilon")
     feasible = False
     objective = None
     if kind == "matching":
-        from .instances import Matching as M
-
         loads = [0] * instance.n
         for e in payload:
             if not (0 <= e < instance.m):
@@ -346,7 +441,7 @@ def cmd_verify(args) -> int:
             u, v = instance.endpoints(e)
             loads[u] += 1
             loads[v] += 1
-        sol = M(edge_ids=tuple(sorted(payload)), loads=tuple(loads))
+        sol = Matching(edge_ids=tuple(sorted(payload)), loads=tuple(loads))
         rep = validate_b_matching(sol, instance, args.b) if args.algorithm == "bmatch" else validate(sol, instance)
         feasible, objective = rep.feasible, rep.objective
         print(rep)
@@ -373,20 +468,17 @@ def cmd_verify(args) -> int:
         return 3
     if args.against_oracle:
         try:
-            aux = args.b if args.algorithm == "bmatch" else None
-            opt = _oracle_value(args.algorithm, instance, aux)
+            opt = problem.oracle(instance, problem.aux(args))
         except TooLarge as exc:
             print(f"TooLarge: {exc}; validity-only verdict")
             return 0
         if opt is None:
             print("no oracle for this algorithm; validity-only verdict")
             return 0
-        bound, bound_label = _bound_for(args.algorithm, instance, epsilon, args.b)
-        obj = Fraction(objective)
-        if args.algorithm in MINIMIZING:
-            ratio = obj / opt if opt else Fraction(0)
-        else:
-            ratio = opt / obj if obj else (Fraction(0) if opt == 0 else None)
+        bound, bound_label = spec.bound(instance, epsilon, args.b)
+        ratio = problem.ratio(Fraction(objective), opt)
+        if ratio is None and opt == 0:
+            ratio = Fraction(0)
         if ratio is None:
             print(f"OPT={frac_str(opt)} objective=0 FAIL ratio undefined")
             return 3
@@ -401,29 +493,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    instance, _ = _load_instance(args.algorithm, args.instance)
+    spec = ALGORITHMS[args.algorithm]
+    problem = spec.problem
+    instance, _ = _load_instance(problem, args.instance)
+    aux = problem.aux(args)
     try:
-        aux0 = args.b if args.algorithm == "bmatch" else None
-        opt = _oracle_value(args.algorithm, instance, aux0)
+        opt = problem.oracle(instance, aux)
     except TooLarge:
         opt = None
     print("seed,rounds,peak_memory,objective,ratio")
     code = 0
     for seed in range(args.seeds):
-        run_args = argparse.Namespace(**{**vars(args), "seed": seed, "kappa": None, "vertex_weights": None})
+        run_args = argparse.Namespace(**{**vars(args), "seed": seed})
         try:
-            result, aux = _run_algorithm(run_args, instance)
+            result = spec.run(instance, aux, run_args, _common(run_args))
         except RetriesExhausted:
             print(f"{seed},,,retries-exhausted,")
             code = 2
             continue
-        objective = Fraction(_objective(args.algorithm, result.value, instance, aux))
-        if opt is None:
-            ratio = ""
-        elif args.algorithm in MINIMIZING:
-            ratio = frac_decimal(objective / opt) if opt else ""
-        else:
-            ratio = frac_decimal(opt / objective) if objective else ""
+        objective = Fraction(problem.objective(result.value, instance, aux))
+        ratio = None if opt is None else problem.ratio(objective, opt)
+        ratio = "" if ratio is None else frac_decimal(ratio)
         print(f"{seed},{result.total_rounds},{result.cluster.peak_words()},{frac_str(objective)},{ratio}")
     return code
 

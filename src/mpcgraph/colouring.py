@@ -14,39 +14,65 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Cluster, ClusterConfig, Payload, RunResult, WhpFailure, run_with_retries
-from .exactmath import as_fraction, ipow_ceil, ipow_floor
+from .engine import Cluster, ClusterConfig, Payload, RunResult, cluster_config, gather, run_with_retries
+from .exactmath import ipow_ceil, ipow_floor
 from .instances import Colouring, Graph, make_graph
 from .oracles import misra_gries_edge_colouring_seq
 
 EDGE_CAP_FACTOR = 13
 
 
-def colour_config(graph: Graph, mu="1/5", c=None, seed: int = 0, **overrides) -> ClusterConfig:
-    mu = as_fraction(mu)
-    n = max(2, graph.n)
-    if c is None:
-        c = _derive_c(graph)
-    else:
-        c = as_fraction(c)
-    eta = overrides.pop("eta", None) or ipow_floor(n, 1 + mu)
-    machine_count = overrides.pop("machine_count", None) or max(1, -(-max(1, graph.m) // max(1, eta)))
-    k = overrides.get("budget_multiplier", 8)
-    cap = EDGE_CAP_FACTOR * ipow_floor(n, 1 + mu)
-    resident = 8 * ((graph.n + 2 * graph.m) // machine_count + 1)
-    budget = overrides.pop("memory_budget_words", None) or k * eta + 4 * cap + resident + 4 * graph.n
-    fanout = overrides.pop("fanout", None) or max(2, ipow_ceil(n, mu))
-    return ClusterConfig(
-        n=n,
-        mu=mu,
-        c=c,
-        eta=eta,
-        machine_count=machine_count,
-        memory_budget_words=budget,
-        fanout=fanout,
-        seed=seed,
-        **overrides,
+def _run_colouring(graph: Graph, attempt, config, kappa, edge_cap, kw) -> RunResult:
+    """Build the regime (c derived from the graph unless given), then run
+    ``attempt(graph, kappa, edge cap, cluster)`` with retries."""
+
+    def budget(cfg: ClusterConfig) -> int:
+        cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu)
+        resident = 8 * ((graph.n + 2 * graph.m) // cfg.machine_count + 1)
+        return cfg.budget_multiplier * cfg.eta + 4 * cap + resident + 4 * graph.n
+
+    c = kw.pop("c", None)
+    cfg = config or cluster_config(max(2, graph.n), graph.m, budget, c=_derive_c(graph) if c is None else c, **kw)
+    k = default_kappa(cfg) if kappa is None else kappa
+    cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu) if edge_cap is None else edge_cap
+    return run_with_retries(cfg, lambda cluster: attempt(graph, k, cap, cluster))
+
+
+def _group_counts(cluster: Cluster, cap: int, tag: str, what: str) -> tuple:
+    """Fold the per-group edge counts to the central machine; a group over
+    the cap fails the attempt."""
+    counts, _ = cluster.aggregate(
+        "gcounts", lambda a, b: tuple(x + y for x, y in zip(a, b)), label=f"{tag}:counts"
     )
+    for i, cnt in enumerate(counts):
+        if cnt > cap:
+            cluster.fail(f"{what} {i} has {cnt} edges > cap {cap}")
+    return counts
+
+
+def _merged_colouring(cluster: Cluster, kind: str, count: int, kappa: int, counts: tuple):
+    """Collect the group-central machines' colours into one colouring of
+    ``count`` items and check it against kappa*(max Delta_i + 1)."""
+    merged: dict[int, tuple[int, int]] = {}
+    deltas: dict[int, int] = {}
+    for store in cluster.stores:
+        if "coloured" in store:
+            merged.update(store["coloured"].value)
+        for g, d in store.get("gdelta", {}).items():
+            deltas[g] = max(deltas.get(g, 0), d)
+    groups = tuple(merged[i][0] for i in range(count))
+    colours = tuple(merged[i][1] for i in range(count))
+    result = Colouring(kind=kind, groups=groups, colours=colours)
+    max_delta = max(deltas.values(), default=0)
+    bound = kappa * (max_delta + 1)
+    assert result.colour_count <= bound, "colour count exceeded kappa*(max Delta_i + 1)"
+    extras = {
+        "kappa": kappa,
+        "group_deltas": [deltas.get(g, 0) for g in range(kappa)],
+        "group_edges": list(counts),
+        "count_bound": bound,
+    }
+    return result, 1, extras
 
 
 def _derive_c(graph: Graph) -> Fraction:
@@ -68,10 +94,7 @@ def vertex_colouring(
 ) -> RunResult:
     """Proper vertex colouring with at most kappa*(max_i Delta_i + 1)
     colours, w.h.p. (1 + n^(-mu/2) sqrt(6 ln n) + n^(-mu)) * Delta."""
-    cfg = config or colour_config(graph, **kw)
-    k = kappa or default_kappa(cfg)
-    cap = edge_cap if edge_cap is not None else EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu)
-    return run_with_retries(cfg, lambda cluster: _vertex_attempt(graph, k, cap, cluster))
+    return _run_colouring(graph, _vertex_attempt, config, kappa, edge_cap, kw)
 
 
 def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
@@ -95,9 +118,8 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
         own = store["adj"].value
         groups = store["groups"].value
         nbr_groups: dict[int, dict] = {v: {} for v in own}
-        for _, key, (v, u, gu) in inbox:
-            if key == "grp":
-                nbr_groups[v][u] = gu
+        for v, u, gu in gather(inbox, "grp"):
+            nbr_groups[v][u] = gu
         same = {
             v: tuple(u for u in own[v] if nbr_groups[v].get(u) == groups[v])
             for v in own
@@ -109,14 +131,7 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
         return {**store, "same": Payload(same, size), "gcounts": tuple(counts)}, []
 
     cluster.run_round(build_step, label="colour:build")
-    counts, _ = cluster.aggregate(
-        "gcounts", lambda a, b: tuple(x + y for x, y in zip(a, b)), label="colour:counts"
-    )
-    for i, cnt in enumerate(counts):
-        if cnt > cap:
-            reason = f"group {i} has {cnt} edges > cap {cap}"
-            cluster.mark_failure(reason)
-            raise WhpFailure(reason)
+    counts = _group_counts(cluster, cap, "colour", "group")
 
     def ship_step(mid, store, inbox, rng):
         own = store["adj"].value
@@ -132,9 +147,8 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
 
     def colour_step(mid, store, inbox, rng):
         subs: dict[int, dict] = {}
-        for _, key, (g, v, nbrs) in inbox:
-            if key == "sub":
-                subs.setdefault(g, {})[v] = nbrs
+        for g, v, nbrs in gather(inbox, "sub"):
+            subs.setdefault(g, {})[v] = nbrs
         assignment: dict[int, tuple[int, int]] = {}
         deltas: dict[int, int] = {}
         for g in sorted(subs):
@@ -153,27 +167,7 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
         return {**store, "coloured": Payload(assignment, size), "gdelta": deltas}, []
 
     cluster.run_round(colour_step, label="colour:greedy")
-
-    merged: dict[int, tuple[int, int]] = {}
-    deltas: dict[int, int] = {}
-    for store in cluster.stores:
-        if "coloured" in store:
-            merged.update(store["coloured"].value)
-        for g, d in store.get("gdelta", {}).items():
-            deltas[g] = max(deltas.get(g, 0), d)
-    groups = tuple(merged[v][0] for v in range(graph.n))
-    colours = tuple(merged[v][1] for v in range(graph.n))
-    result = Colouring(kind="vertex", groups=groups, colours=colours)
-    max_delta = max(deltas.values(), default=0)
-    bound = kappa * (max_delta + 1)
-    assert result.colour_count <= bound, "colour count exceeded kappa*(max Delta_i + 1)"
-    extras = {
-        "kappa": kappa,
-        "group_deltas": [deltas.get(g, 0) for g in range(kappa)],
-        "group_edges": list(counts),
-        "count_bound": bound,
-    }
-    return result, 1, extras
+    return _merged_colouring(cluster, "vertex", graph.n, kappa, counts)
 
 
 def edge_colouring(
@@ -181,10 +175,7 @@ def edge_colouring(
 ) -> RunResult:
     """Proper edge colouring: random edge partition, Misra-Gries per group,
     colour = (group id, within-group colour)."""
-    cfg = config or colour_config(graph, **kw)
-    k = kappa or default_kappa(cfg)
-    cap = edge_cap if edge_cap is not None else EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu)
-    return run_with_retries(cfg, lambda cluster: _edge_attempt(graph, k, cap, cluster))
+    return _run_colouring(graph, _edge_attempt, config, kappa, edge_cap, kw)
 
 
 def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
@@ -205,14 +196,7 @@ def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
         return {**store, "groups": Payload(groups, 2 * len(groups)), "gcounts": tuple(counts)}, []
 
     cluster.run_round(assign_step, label="ecolour:assign")
-    counts, _ = cluster.aggregate(
-        "gcounts", lambda a, b: tuple(x + y for x, y in zip(a, b)), label="ecolour:counts"
-    )
-    for i, cnt in enumerate(counts):
-        if cnt > cap:
-            reason = f"edge group {i} has {cnt} edges > cap {cap}"
-            cluster.mark_failure(reason)
-            raise WhpFailure(reason)
+    counts = _group_counts(cluster, cap, "ecolour", "edge group")
 
     def ship_step(mid, store, inbox, rng):
         own = store["edges"].value
@@ -224,9 +208,8 @@ def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
 
     def colour_step(mid, store, inbox, rng):
         subs: dict[int, list] = {}
-        for _, key, (g, eid, u, v) in inbox:
-            if key == "sub":
-                subs.setdefault(g, []).append((eid, u, v))
+        for g, eid, u, v in gather(inbox, "sub"):
+            subs.setdefault(g, []).append((eid, u, v))
         assignment: dict[int, tuple[int, int]] = {}
         deltas: dict[int, int] = {}
         for g in sorted(subs):
@@ -241,27 +224,7 @@ def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
         return {**store, "coloured": Payload(assignment, 3 * len(assignment)), "gdelta": deltas}, []
 
     cluster.run_round(colour_step, label="ecolour:mg")
-
-    merged: dict[int, tuple[int, int]] = {}
-    deltas: dict[int, int] = {}
-    for store in cluster.stores:
-        if "coloured" in store:
-            merged.update(store["coloured"].value)
-        for g, d in store.get("gdelta", {}).items():
-            deltas[g] = max(deltas.get(g, 0), d)
-    groups = tuple(merged[e][0] for e in range(graph.m))
-    colours = tuple(merged[e][1] for e in range(graph.m))
-    result = Colouring(kind="edge", groups=groups, colours=colours)
-    max_delta = max(deltas.values(), default=0)
-    bound = kappa * (max_delta + 1)
-    assert result.colour_count <= bound, "colour count exceeded kappa*(max Delta_i + 1)"
-    extras = {
-        "kappa": kappa,
-        "group_deltas": [deltas.get(g, 0) for g in range(kappa)],
-        "group_edges": list(counts),
-        "count_bound": bound,
-    }
-    return result, 1, extras
+    return _merged_colouring(cluster, "edge", graph.m, kappa, counts)
 
 
 def whp_colour_bound(n: int, mu: Fraction, max_degree: int) -> float:

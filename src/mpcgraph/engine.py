@@ -22,6 +22,7 @@ a fixed ClusterConfig regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .exactmath import as_fraction, frac_str, ipow_ceil, ipow_floor, log_ceil
 
@@ -117,6 +118,36 @@ def words(obj) -> int:
     raise TypeError(f"unsized payload type {type(obj).__name__}")
 
 
+def gather(inbox, key: str) -> list:
+    """The values of the messages in ``inbox`` sent under ``key``, in inbox
+    order (by sender)."""
+    return [value for _, k, value in inbox if k == key]
+
+
+def gather_concat(inbox, key: str) -> list:
+    """The list-valued messages sent under ``key``, concatenated in inbox
+    order."""
+    out = []
+    for _, k, value in inbox:
+        if k == key:
+            out.extend(value)
+    return out
+
+
+def central(step: Callable) -> Callable:
+    """A round step that runs on the central machine only: ``step(store,
+    inbox) -> (new_store, outbox)``; every other machine idles.  The wrapper
+    keeps the step's name and module."""
+
+    @functools.wraps(step)
+    def on_central(mid, store, inbox, rng):
+        if mid != 0:
+            return store, []
+        return step(store, inbox)
+
+    return on_central
+
+
 def store_words(store: dict) -> int:
     # Top-level keys are labels, not data.
     return sum(words(v) for v in store.values())
@@ -131,8 +162,7 @@ def derive_seed(seed: int, round_index: int, machine_id: int) -> int:
 class ClusterConfig:
     """The (n, c, mu, eta, fanout, budget) regime of a simulated cluster.
 
-    eta, machine_count and fanout all default to functions of (n, c, mu)
-    but can be overridden individually.
+    Algorithms build theirs with ``cluster_config``.
     """
 
     n: int
@@ -157,65 +187,58 @@ class ClusterConfig:
         if self.memory_budget_words < 1:
             raise ValueError("memory budget must be positive")
 
-    @classmethod
-    def derive(
-        cls,
-        n: int,
-        mu,
-        c=None,
-        *,
-        seed: int = 0,
-        eta: int | None = None,
-        machine_count: int | None = None,
-        fanout: int | None = None,
-        memory_budget_words: int | None = None,
-        budget_scale: int = 1,
-        **overrides,
-    ) -> "ClusterConfig":
-        """Fill defaults: eta = n^(1+mu), M = ceil(n^(c-mu)), fanout =
-        ceil(n^mu), budget = K * budget_scale * n^(1+mu)."""
-        mu = as_fraction(mu)
-        c = None if c is None else as_fraction(c)
-        if eta is None:
-            eta = ipow_floor(n, 1 + mu)
-        if machine_count is None:
-            if c is None or c <= mu:
-                machine_count = 1
-            else:
-                machine_count = ipow_ceil(n, c - mu)
-        if fanout is None:
-            fanout = max(2, ipow_ceil(n, mu))
-        k = overrides.get("budget_multiplier", 8)
-        if memory_budget_words is None:
-            memory_budget_words = k * budget_scale * ipow_floor(n, 1 + mu)
-        return cls(
-            n=n,
-            mu=mu,
-            c=c,
-            eta=eta,
-            machine_count=machine_count,
-            memory_budget_words=memory_budget_words,
-            fanout=fanout,
-            seed=seed,
-            **overrides,
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": frac_str(self.mu),
-            "c": None if self.c is None else frac_str(self.c),
-            "eta": self.eta,
-            "machine_count": self.machine_count,
-            "memory_budget_words": self.memory_budget_words,
-            "fanout": self.fanout,
-            "seed": self.seed,
-            "retry_cap": self.retry_cap,
-            "free_broadcast": self.free_broadcast,
-            "fail_multiplier": self.fail_multiplier,
-            "budget_multiplier": self.budget_multiplier,
-            "strict_mpc": self.strict_mpc,
-        }
+        """Every field, with the exponents as exact rational strings."""
+        fields = dict(vars(self))
+        fields["mu"] = frac_str(self.mu)
+        fields["c"] = None if self.c is None else frac_str(self.c)
+        return fields
+
+
+def cluster_config(
+    n: int,
+    items: int,
+    budget: Callable[[ClusterConfig], int] | None,
+    *,
+    mu="1/5",
+    c=None,
+    seed: int = 0,
+    eta: int | None = None,
+    machine_count: int | None = None,
+    fanout: int | None = None,
+    memory_budget_words: int | None = None,
+    **flags,
+) -> ClusterConfig:
+    """The regime of one algorithm's cluster.
+
+    ``n`` is the algorithm's scale parameter and ``items`` the number of
+    input items it shards eta to a machine.  Defaults: eta = floor(n^(1+mu)),
+    machine_count = ceil(items/eta) (at least 1), fanout = ceil(n^mu) (at
+    least 2), and the memory budget is ``budget(config)``, the algorithm's
+    formula evaluated on the finished config.  Each can be overridden;
+    ``flags`` sets the remaining ClusterConfig fields.
+    """
+    mu = as_fraction(mu)
+    if eta is None:
+        eta = ipow_floor(n, 1 + mu)
+    if machine_count is None:
+        machine_count = max(1, -(-items // max(1, eta)))
+    if fanout is None:
+        fanout = max(2, ipow_ceil(n, mu))
+    config = ClusterConfig(
+        n=n,
+        mu=mu,
+        c=None if c is None else as_fraction(c),
+        eta=eta,
+        machine_count=machine_count,
+        memory_budget_words=1 if memory_budget_words is None else memory_budget_words,
+        fanout=fanout,
+        seed=seed,
+        **flags,
+    )
+    if memory_budget_words is None:
+        config = replace(config, memory_budget_words=budget(config))
+    return config
 
 
 @dataclass
@@ -288,10 +311,12 @@ class Cluster:
     def peak_words(self) -> int:
         return max((max(r.peak_words) for r in self.rounds), default=0)
 
-    def mark_failure(self, reason: str) -> None:
-        """Flag the most recent round with an algorithm-declared failure."""
+    def fail(self, reason: str) -> NoReturn:
+        """Flag the most recent round with an algorithm-declared failure and
+        abort the attempt."""
         if self.rounds:
             self.rounds[-1].failure = reason
+        raise WhpFailure(reason)
 
     # -- round execution ---------------------------------------------------
 
@@ -414,7 +439,8 @@ class Cluster:
 
         Uses ceil(log_fanout(M)) charged rounds; each sender emits at most
         fanout-1 copies per round.  After completion every machine holds
-        the payload (store or inbox).
+        the payload (store or inbox); from the next round on, every step
+        reads it as ``store[key].value``.
         """
         m = self.config.machine_count
         payload = value if isinstance(value, Payload) else Payload(value)
@@ -544,16 +570,7 @@ class RunResult:
         return {
             "schema": 1,
             "config": config.to_dict(),
-            "attempts": [
-                {
-                    "seed": a.seed,
-                    "failure": a.failure,
-                    "total_rounds": a.total_rounds,
-                    "peak_words": a.peak_words,
-                    "rounds": a.rounds,
-                }
-                for a in self.attempts
-            ],
+            "attempts": [vars(a) for a in self.attempts],
             "total_rounds": self.total_rounds,
             "peak_words": self.cluster.peak_words(),
             "iterations": self.iterations,
@@ -572,29 +589,22 @@ def run_with_retries(config: ClusterConfig, attempt: Callable) -> RunResult:
     for k in range(config.retry_cap + 1):
         cfg = replace(config, seed=config.seed + k)
         cluster = Cluster(cfg)
+        failure = None
         try:
             value, iterations, extras = attempt(cluster)
         except (WhpFailure, EngineFailure) as exc:
-            attempts.append(
-                AttemptRecord(
-                    seed=cfg.seed,
-                    failure=str(exc) or exc.__class__.__name__,
-                    total_rounds=cluster.total_rounds(),
-                    peak_words=cluster.peak_words(),
-                    rounds=cluster.trace_rounds(level),
-                )
-            )
-            continue
+            failure = str(exc) or exc.__class__.__name__
         attempts.append(
             AttemptRecord(
                 seed=cfg.seed,
-                failure=None,
+                failure=failure,
                 total_rounds=cluster.total_rounds(),
                 peak_words=cluster.peak_words(),
                 rounds=cluster.trace_rounds(level),
             )
         )
-        return RunResult(value=value, cluster=cluster, attempts=attempts, iterations=iterations, extras=extras)
+        if failure is None:
+            return RunResult(value=value, cluster=cluster, attempts=attempts, iterations=iterations, extras=extras)
     raise RetriesExhausted(attempts)
 
 

@@ -23,8 +23,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .engine import Cluster, ClusterConfig, Payload, RunResult, run_with_retries
-from .exactmath import as_fraction, ipow_ceil, ipow_floor, pow_threshold
+from .engine import (
+    Cluster,
+    ClusterConfig,
+    Payload,
+    RunResult,
+    central,
+    cluster_config,
+    gather,
+    gather_concat,
+    run_with_retries,
+)
+from .exactmath import ipow_ceil, ipow_floor, pow_threshold
 from .instances import Graph
 
 
@@ -44,29 +54,28 @@ def _order_stat_sample(rng, members: list, s: int) -> list:
     return list(zip(keys, owners))
 
 
-def hg_config(graph: Graph, mu="1/5", seed: int = 0, *, alpha_den: int = 2, **overrides) -> ClusterConfig:
-    """Cluster regime for vertex-sharded hungry-greedy runs."""
-    mu = as_fraction(mu)
-    n = max(2, graph.n)
-    eta = overrides.pop("eta", None) or ipow_floor(n, 1 + mu)
-    machine_count = overrides.pop("machine_count", None) or max(1, -(-max(1, graph.m) // max(1, eta)))
-    k = overrides.get("budget_multiplier", 8)
-    alpha = mu / alpha_den if mu > 0 else Fraction(1, 2)
-    classes = int(-(-Fraction(1) // alpha))
-    resident = 6 * ((graph.n + 2 * graph.m) // machine_count + 1)
-    budget = overrides.pop("memory_budget_words", None) or k * (classes + 2) * eta + resident + 4 * graph.n
-    fanout = overrides.pop("fanout", None) or max(2, ipow_ceil(n, mu))
-    return ClusterConfig(
-        n=n,
-        mu=mu,
-        c=overrides.pop("c", None),
-        eta=eta,
-        machine_count=machine_count,
-        memory_budget_words=budget,
-        fanout=fanout,
-        seed=seed,
-        **overrides,
-    )
+def _candidates(rng, members: list, gids, s_size: int, nbrs_of) -> list:
+    """Messages to the central machine: for each group id, s_size members
+    sampled by order statistics, as (key, vertex, nbrs_of(vertex))."""
+    out = []
+    for gid in gids:
+        cands = [(key, v, nbrs_of(v)) for key, v in _order_stat_sample(rng, members, s_size)]
+        if cands:
+            out.append((0, "cand", (gid, cands)))
+    return out
+
+
+def _hungry_budget(graph: Graph, alpha_den: int):
+    """Budget for vertex-sharded hungry-greedy runs with phase exponent
+    alpha = mu/alpha_den."""
+
+    def budget(cfg: ClusterConfig) -> int:
+        alpha = cfg.mu / alpha_den if cfg.mu > 0 else Fraction(1, 2)
+        classes = int(-(-Fraction(1) // alpha))
+        resident = 6 * ((graph.n + 2 * graph.m) // cfg.machine_count + 1)
+        return cfg.budget_multiplier * (classes + 2) * cfg.eta + resident + 4 * graph.n
+
+    return budget
 
 
 def _preload_vertex_shards(graph: Graph, cluster: Cluster) -> None:
@@ -82,6 +91,92 @@ def _preload_vertex_shards(graph: Graph, cluster: Cluster) -> None:
         cluster.preload(mid, "vh", 0)
 
 
+def _greedy_scan(groups, dead: set) -> tuple[tuple, tuple]:
+    """Scan each group's candidates ``(v, neighbours)`` in order and add the
+    first v that is not dead and keeps at least thr neighbours that are not
+    dead; v and those neighbours die.  ``groups`` yields ``(thr,
+    candidates)``.  Returns the added vertices and the newly dead ones,
+    sorted."""
+    dead_now = set(dead)
+    added: list[int] = []
+    newly_dead: list[int] = []
+    for thr, cands in groups:
+        for v, nbrs in cands:
+            if v in dead_now:
+                continue
+            alive_nbrs = [u for u in nbrs if u not in dead_now]
+            if len(alive_nbrs) >= thr:
+                added.append(v)
+                newly_dead.append(v)
+                newly_dead.extend(alive_nbrs)
+                dead_now.add(v)
+                dead_now.update(alive_nbrs)
+                break
+    return tuple(added), tuple(sorted(set(newly_dead)))
+
+
+def _scan_round(cluster: Cluster, key: str, groups_of, chosen: list, dead: set, label: str) -> tuple:
+    """The central round that runs ``_greedy_scan`` over ``groups_of(inbox)``
+    and appends the added vertices to store[key].  The driver's ``chosen``
+    and ``dead`` follow; returns the newly dead vertices."""
+
+    @central
+    def scan_step(store, inbox):
+        added, newly_dead = _greedy_scan(groups_of(inbox), dead)
+        members = store[key].value + added
+        return {
+            **store,
+            key: Payload(members, len(members)),
+            "added": added,
+            "newly_dead": newly_dead,
+        }, []
+
+    cluster.run_round(scan_step, label=label)
+    chosen.extend(cluster.stores[0]["added"])
+    dead.update(cluster.stores[0]["newly_dead"])
+    return cluster.stores[0]["newly_dead"]
+
+
+def _sampled_groups(inbox, s_size: int, thr_of):
+    """The sampled groups in group order, each as its threshold
+    ``thr_of(group id)`` and its s_size smallest-key candidates."""
+    groups: dict = {}
+    for gid, cands in gather(inbox, "cand"):
+        groups.setdefault(gid, []).extend(cands)
+    for gid in sorted(groups):
+        cands = sorted(groups[gid], key=lambda t: (t[0], t[1]))[:s_size]
+        yield thr_of(gid), [(v, nbrs) for _, v, nbrs in cands]
+
+
+def _pulled_groups(inbox):
+    """Every pulled vertex as a group of its own, threshold 0, in id order:
+    a lowest-id-first greedy pass."""
+    return ((0, (cand,)) for cand in sorted(gather_concat(inbox, "pull")))
+
+
+def _final_sweep(cluster: Cluster, key: str, left_of, tag: str) -> tuple:
+    """All still-alive vertices have degree zero; they all join store[key].
+    ``left_of(store)`` lists a machine's alive vertices with their degrees.
+    Returns the vertices added."""
+
+    def sweep_step(mid, store, inbox, rng):
+        left = left_of(store)
+        return store, ([(0, "sweep", left)] if left else [])
+
+    cluster.run_round(sweep_step, label=f"{tag}:sweep-ship")
+
+    @central
+    def sweep_central(store, inbox):
+        left = gather_concat(inbox, "sweep")
+        for v, deg in left:
+            assert deg == 0, f"final sweep saw alive vertex {v} with degree {deg}"
+        members = store[key].value + tuple(v for v, _ in sorted(left))
+        return {**store, key: Payload(members, len(members)), "added": tuple(v for v, _ in left)}, []
+
+    cluster.run_round(sweep_central, label=f"{tag}:sweep")
+    return cluster.stores[0]["added"]
+
+
 def _dead_update_rounds(cluster: Cluster, delta: tuple, thr: int, tag: str) -> None:
     """Broadcast the newly dead set, notify their alive neighbours, apply
     the degree decrements and recount the heavy set at threshold thr."""
@@ -89,9 +184,7 @@ def _dead_update_rounds(cluster: Cluster, delta: tuple, thr: int, tag: str) -> N
     cluster.broadcast("dead_delta", delta, label=f"{tag}:dead")
 
     def notify_step(mid, store, inbox, rng):
-        dd = store["dead_delta"]
-        if isinstance(dd, Payload):
-            dd = dd.value
+        dd = store["dead_delta"].value
         alive = store["alive"].value
         anbrs = store["anbrs"].value
         out = []
@@ -116,8 +209,8 @@ def _dead_update_rounds(cluster: Cluster, delta: tuple, thr: int, tag: str) -> N
         alive = store["alive"].value
         anbrs = store["anbrs"].value
         hits: dict[int, set] = {}
-        for _, key, (u, w) in inbox:
-            if key == "deadnbr" and u in alive:
+        for u, w in gather(inbox, "deadnbr"):
+            if u in alive:
                 hits.setdefault(u, set()).add(w)
         if hits:
             anbrs = dict(anbrs)
@@ -141,10 +234,15 @@ def _recount_round(cluster: Cluster, thr: int, tag: str) -> None:
     cluster.run_round(recount_step, label=f"{tag}:recount")
 
 
+def _mis_left(store) -> tuple:
+    anbrs = store["anbrs"].value
+    return tuple((v, len(anbrs[v])) for v in sorted(store["alive"].value))
+
+
 def mis_simple(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
     """Maximal independent set by phased heavy-vertex sampling (the simple
     O(1/mu^2)-round variant, phase exponent alpha = mu/2)."""
-    cfg = config or hg_config(graph, alpha_den=2, **kw)
+    cfg = config or cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
     return run_with_retries(cfg, lambda cluster: _mis_simple_attempt(graph, cluster))
 
 
@@ -155,7 +253,6 @@ def _mis_simple_attempt(graph: Graph, cluster: Cluster):
     alpha = mu / 2 if mu > 0 else Fraction(1, 2)
     phases = int(-(-Fraction(1) // alpha))
     s_size = ipow_ceil(n, mu / 2) if mu > 0 else 1
-    m_count = cfg.machine_count
 
     _preload_vertex_shards(graph, cluster)
     cluster.preload(0, "I", Payload((), 0))
@@ -180,78 +277,29 @@ def _mis_simple_attempt(graph: Graph, cluster: Cluster):
                 alive = store["alive"].value
                 anbrs = store["anbrs"].value
                 heavy = sorted(v for v in alive if len(anbrs[v]) >= thr)
-                out = []
-                if heavy:
-                    for j in range(groups):
-                        cands = [
-                            (key, v, tuple(sorted(anbrs[v])))
-                            for key, v in _order_stat_sample(rng, heavy, s_size)
-                        ]
-                        if cands:
-                            out.append((0, "cand", (j, cands)))
-                return store, out
+                return store, _candidates(rng, heavy, range(groups), s_size, lambda v: tuple(sorted(anbrs[v])))
 
             cluster.run_round(cand_step, label=f"mis[{phase}]:cand")
 
-            newly = _central_group_scan(cluster, dead, independent, thr, s_size, f"mis[{phase}]")
+            def groups_of(inbox, thr=thr):
+                return _sampled_groups(inbox, s_size, lambda j: thr)
+
+            newly = _scan_round(cluster, "I", groups_of, independent, dead, f"mis[{phase}]:scan")
             _dead_update_rounds(cluster, newly, thr, f"mis[{phase}]")
             vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"mis[{phase}]:vh")
             vh_series.append((phase, vh_before, vh))
 
-        _phase_end_pull(cluster, graph, dead, independent, thr, f"mis[{phase}]")
+        _phase_end_pull(cluster, dead, independent, thr, f"mis[{phase}]")
         _recount_round(cluster, thr, f"mis[{phase}]:post")
         vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"mis[{phase}]:vh2")
         assert vh == 0, "phase-end MIS left a heavy vertex alive"
 
-    _final_sweep(cluster, dead, independent, "mis")
+    independent.extend(_final_sweep(cluster, "I", _mis_left, "mis"))
     extras = {"vh_series": vh_series, "passes": passes}
     return tuple(sorted(independent)), passes, extras
 
 
-def _central_group_scan(cluster, dead, independent, thr, s_size, tag) -> tuple:
-    """Run the central round that scans sampled groups in order and adds
-    each group's first vertex whose current alive degree clears thr."""
-
-    def central_step(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        groups: dict[int, list] = {}
-        for _, key, value in inbox:
-            if key == "cand":
-                groups.setdefault(value[0], []).extend(value[1])
-        added: list[int] = []
-        newly_dead: list[int] = []
-        dead_now = set(dead)
-        for j in sorted(groups):
-            cands = sorted(groups[j], key=lambda t: (t[0], t[1]))[:s_size]
-            for _, v, nbrs in cands:
-                if v in dead_now:
-                    continue
-                alive_nbrs = [u for u in nbrs if u not in dead_now]
-                if len(alive_nbrs) >= thr:
-                    added.append(v)
-                    newly_dead.append(v)
-                    newly_dead.extend(alive_nbrs)
-                    dead_now.add(v)
-                    dead_now.update(alive_nbrs)
-                    break
-        iset = store["I"].value + tuple(added)
-        return {
-            **store,
-            "I": Payload(iset, len(iset)),
-            "added": tuple(added),
-            "newly_dead": tuple(sorted(set(newly_dead))),
-        }, []
-
-    cluster.run_round(central_step, label=f"{tag}:scan")
-    central = cluster.stores[0]
-    independent.extend(central["added"])
-    newly = central["newly_dead"]
-    dead.update(newly)
-    return newly
-
-
-def _phase_end_pull(cluster, graph, dead, independent, thr, tag) -> None:
+def _phase_end_pull(cluster, dead, independent, thr, tag) -> None:
     """Pull the (small) heavy set's alive subgraph to the central machine
     and extend I by a lowest-id-first greedy MIS on it."""
 
@@ -262,75 +310,15 @@ def _phase_end_pull(cluster, graph, dead, independent, thr, tag) -> None:
         return store, ([(0, "pull", heavy)] if heavy else [])
 
     cluster.run_round(pull_step, label=f"{tag}:pull")
-
-    def central_step(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        pulled = []
-        for _, key, value in inbox:
-            if key == "pull":
-                pulled.extend(value)
-        pulled.sort()
-        dead_now = set(dead)
-        added: list[int] = []
-        newly_dead: list[int] = []
-        for v, nbrs in pulled:
-            if v in dead_now:
-                continue
-            alive_nbrs = [u for u in nbrs if u not in dead_now]
-            added.append(v)
-            newly_dead.append(v)
-            newly_dead.extend(alive_nbrs)
-            dead_now.add(v)
-            dead_now.update(alive_nbrs)
-        iset = store["I"].value + tuple(added)
-        return {
-            **store,
-            "I": Payload(iset, len(iset)),
-            "added": tuple(added),
-            "newly_dead": tuple(sorted(set(newly_dead))),
-        }, []
-
-    cluster.run_round(central_step, label=f"{tag}:phase-mis")
-    central = cluster.stores[0]
-    independent.extend(central["added"])
-    newly = central["newly_dead"]
-    dead.update(newly)
+    newly = _scan_round(cluster, "I", _pulled_groups, independent, dead, f"{tag}:phase-mis")
     if newly:
         _dead_update_rounds(cluster, newly, thr, f"{tag}:phase-upd")
-
-
-def _final_sweep(cluster, dead, independent, tag) -> None:
-    """All still-alive vertices have alive degree zero; they all join I."""
-
-    def sweep_step(mid, store, inbox, rng):
-        alive = store["alive"].value
-        anbrs = store["anbrs"].value
-        left = tuple((v, len(anbrs[v])) for v in sorted(alive))
-        return store, ([(0, "sweep", left)] if left else [])
-
-    cluster.run_round(sweep_step, label=f"{tag}:sweep-ship")
-
-    def central_step(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        left = []
-        for _, key, value in inbox:
-            if key == "sweep":
-                left.extend(value)
-        for v, deg in left:
-            assert deg == 0, f"final sweep saw alive vertex {v} with degree {deg}"
-        iset = store["I"].value + tuple(v for v, _ in sorted(left))
-        return {**store, "I": Payload(iset, len(iset)), "added": tuple(v for v, _ in left)}, []
-
-    cluster.run_round(central_step, label=f"{tag}:sweep")
-    independent.extend(cluster.stores[0]["added"])
 
 
 def mis_fast(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
     """Maximal independent set with degree-class stratification (the
     O(c/mu)-round variant, alpha = mu/8)."""
-    cfg = config or hg_config(graph, alpha_den=8, **kw)
+    cfg = config or cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 8), **kw)
     return run_with_retries(cfg, lambda cluster: _mis_fast_attempt(graph, cluster))
 
 
@@ -341,7 +329,6 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
     alpha = mu / 8 if mu > 0 else Fraction(1, 8)
     classes = int(-(-Fraction(1) // alpha))
     s_size = ipow_ceil(n, mu / 2) if mu > 0 else 1
-    m_count = cfg.machine_count
     edge_floor = ipow_floor(n, 1 + mu)
     class_lo = [pow_threshold(n, 1 - i * alpha) for i in range(classes + 2)]
     group_counts = [ipow_ceil(n, (i + 1) * alpha) for i in range(classes + 2)]
@@ -359,13 +346,9 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
 
     cluster.run_round(iso_step, label="mis2:iso-ship")
 
-    def iso_central(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        iso = []
-        for _, key, value in inbox:
-            if key == "iso":
-                iso.extend(value)
+    @central
+    def iso_central(store, inbox):
+        iso = gather_concat(inbox, "iso")
         iset = store["I"].value + tuple(sorted(iso))
         return {**store, "I": Payload(iset, len(iset)), "added": tuple(sorted(iso))}, []
 
@@ -386,82 +369,43 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
         total, _ = cluster.aggregate("dsum", lambda a, b: a + b, label="mis2:edges")
         return total // 2
 
+    def cand_step(mid, store, inbox, rng):
+        alive = store["alive"].value
+        anbrs = store["anbrs"].value
+        by_class: dict[int, list] = {}
+        for v in sorted(alive):
+            d = len(anbrs[v])
+            if d == 0:
+                continue
+            for i in range(1, classes + 1):
+                if d >= class_lo[i]:
+                    by_class.setdefault(i, []).append(v)
+                    break
+        out = []
+        for i, members in sorted(by_class.items()):
+            gids = [(i, j) for j in range(group_counts[i])]
+            out.extend(_candidates(rng, members, gids, s_size, lambda v: tuple(sorted(anbrs[v]))))
+        return store, out
+
+    def groups_of(inbox):
+        # Class i adds a vertex that keeps degree n^(1-(i+1)alpha).
+        return _sampled_groups(inbox, s_size, lambda gid: class_lo[gid[0] + 1])
+
     e_k = dsum_round()
     e_series = [e_k]
     iterations = 0
 
     while e_k >= edge_floor:
         iterations += 1
-
-        def cand_step(mid, store, inbox, rng):
-            alive = store["alive"].value
-            anbrs = store["anbrs"].value
-            by_class: dict[int, list] = {}
-            for v in sorted(alive):
-                d = len(anbrs[v])
-                if d == 0:
-                    continue
-                for i in range(1, classes + 1):
-                    if d >= class_lo[i]:
-                        by_class.setdefault(i, []).append(v)
-                        break
-            out = []
-            for i, members in sorted(by_class.items()):
-                for j in range(group_counts[i]):
-                    cands = [
-                        (key, v, tuple(sorted(anbrs[v])))
-                        for key, v in _order_stat_sample(rng, members, s_size)
-                    ]
-                    if cands:
-                        out.append((0, "cand", ((i, j), cands)))
-            return store, out
-
         cluster.run_round(cand_step, label=f"mis2[{iterations}]:cand")
-
-        def central_step(mid, store, inbox, rng):
-            if mid != 0:
-                return store, []
-            groups: dict[tuple, list] = {}
-            for _, key, value in inbox:
-                if key == "cand":
-                    groups.setdefault(value[0], []).extend(value[1])
-            added: list[int] = []
-            newly_dead: list[int] = []
-            dead_now = set(dead)
-            for gid in sorted(groups):
-                add_thr = pow_threshold(n, 1 - (gid[0] + 1) * alpha)
-                cands = sorted(groups[gid], key=lambda t: (t[0], t[1]))[:s_size]
-                for _, v, nbrs in cands:
-                    if v in dead_now:
-                        continue
-                    alive_nbrs = [u for u in nbrs if u not in dead_now]
-                    if len(alive_nbrs) >= add_thr:
-                        added.append(v)
-                        newly_dead.append(v)
-                        newly_dead.extend(alive_nbrs)
-                        dead_now.add(v)
-                        dead_now.update(alive_nbrs)
-                        break
-            iset = store["I"].value + tuple(added)
-            return {
-                **store,
-                "I": Payload(iset, len(iset)),
-                "added": tuple(added),
-                "newly_dead": tuple(sorted(set(newly_dead))),
-            }, []
-
-        cluster.run_round(central_step, label=f"mis2[{iterations}]:scan")
-        central = cluster.stores[0]
-        independent.extend(central["added"])
-        newly = central["newly_dead"]
-        dead.update(newly)
+        newly = _scan_round(cluster, "I", groups_of, independent, dead, f"mis2[{iterations}]:scan")
         _dead_update_rounds(cluster, newly, 1, f"mis2[{iterations}]")
         e_k = dsum_round()
         e_series.append(e_k)
 
     # Finale: the alive subgraph has < n^(1+mu) edges; greedy MIS centrally.
-    _phase_end_pull(cluster, graph, dead, independent, 1, "mis2:finale")
-    _final_sweep(cluster, dead, independent, "mis2")
+    _phase_end_pull(cluster, dead, independent, 1, "mis2:finale")
+    independent.extend(_final_sweep(cluster, "I", _mis_left, "mis2"))
     extras = {"e_series": e_series}
     return tuple(sorted(independent)), iterations, extras
 
@@ -470,22 +414,40 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
 # Maximal clique via the complement relabeling scheme
 
 
-def relabel_active(active: set, n: int) -> tuple[dict, int]:
-    """Permutation sigma mapping active vertices onto [1, k] (ascending id
-    to ascending label) and inactive onto (k, n]."""
-    act = sorted(v for v in active)
-    inact = sorted(v for v in range(n) if v not in active)
-    sigma = {v: i + 1 for i, v in enumerate(act)}
-    k = len(act)
-    sigma.update({v: k + 1 + i for i, v in enumerate(inact)})
-    return sigma, k
-
-
 def maximal_clique(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
     """Maximal clique: the heavy-sampling MIS run on the lazily derived
     complement graph, using label lists against the global active set."""
-    cfg = config or hg_config(graph, alpha_den=2, **kw)
+    cfg = config or cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
     return run_with_retries(cfg, lambda cluster: _clique_attempt(graph, cluster))
+
+
+def _comp_degree(own_adj, actives_set, v) -> int:
+    return len(actives_set) - 1 - sum(1 for u in own_adj[v] if u in actives_set)
+
+
+def _comp_labels(own_adj, actives_tuple, v) -> tuple:
+    """v's complement neighbours as 1-based labels into the active list."""
+    nbrs = own_adj[v]
+    return tuple(lab + 1 for lab, u in enumerate(actives_tuple) if u != v and u not in nbrs)
+
+
+def _comp_heavy(store, thr: int) -> list:
+    """This machine's active vertices of complement degree at least thr."""
+    adj = store["adj"].value
+    aset = set(store["actives"].value)
+    return [v for v in sorted(adj) if v in aset and _comp_degree(adj, aset, v) >= thr]
+
+
+def _clique_scan_round(cluster: Cluster, n: int, groups_of, clique: list, dead: set, label: str) -> tuple:
+    """The greedy scan on the complement: candidate label lists are read
+    against the active list, which is every vertex not yet dead."""
+    snapshot = tuple(v for v in range(n) if v not in dead)
+
+    def comp_groups(inbox):
+        for thr, cands in groups_of(inbox):
+            yield thr, [(v, (snapshot[lab - 1] for lab in labels)) for v, labels in cands]
+
+    return _scan_round(cluster, "K", comp_groups, clique, dead, label)
 
 
 def _clique_attempt(graph: Graph, cluster: Cluster):
@@ -507,26 +469,13 @@ def _clique_attempt(graph: Graph, cluster: Cluster):
     cluster.preload(0, "K", Payload((), 0))
 
     clique: list[int] = []
-    active: set[int] = set(all_active)
-
-    def comp_degree(own_adj, actives_set, v):
-        return len(actives_set) - 1 - sum(1 for u in own_adj[v] if u in actives_set)
-
-    def comp_labels(own_adj, actives_tuple, v):
-        nbrs = own_adj[v]
-        return tuple(
-            lab + 1
-            for lab, u in enumerate(actives_tuple)
-            if u != v and u not in nbrs
-        )
+    dead: set[int] = set()
 
     def dead_rounds(delta: tuple, thr: int, tag: str):
         cluster.broadcast("dead_delta", delta, label=f"{tag}:dead")
 
         def apply_step(mid, store, inbox, rng, thr=thr):
-            dd = store["dead_delta"]
-            if isinstance(dd, Payload):
-                dd = dd.value
+            dd = store["dead_delta"].value
             actives_t = store["actives"].value
             if dd:
                 gone = set(dd)
@@ -536,7 +485,7 @@ def _clique_attempt(graph: Graph, cluster: Cluster):
             vh = sum(
                 1
                 for v in adj
-                if v in aset and comp_degree(adj, aset, v) >= thr
+                if v in aset and _comp_degree(adj, aset, v) >= thr
             )
             return {
                 **store,
@@ -560,62 +509,15 @@ def _clique_attempt(graph: Graph, cluster: Cluster):
             def cand_step(mid, store, inbox, rng, thr=thr, groups=groups):
                 adj = store["adj"].value
                 actives_t = store["actives"].value
-                aset = set(actives_t)
-                heavy = sorted(
-                    v for v in adj if v in aset and comp_degree(adj, aset, v) >= thr
-                )
-                out = []
-                if heavy:
-                    for j in range(groups):
-                        cands = [
-                            (key, v, comp_labels(adj, actives_t, v))
-                            for key, v in _order_stat_sample(rng, heavy, s_size)
-                        ]
-                        if cands:
-                            out.append((0, "cand", (j, cands)))
-                return store, out
+                heavy = _comp_heavy(store, thr)
+                return store, _candidates(rng, heavy, range(groups), s_size, lambda v: _comp_labels(adj, actives_t, v))
 
             cluster.run_round(cand_step, label=f"clique[{phase}]:cand")
 
-            snapshot = tuple(sorted(active))
+            def groups_of(inbox, thr=thr):
+                return _sampled_groups(inbox, s_size, lambda j: thr)
 
-            def central_step(mid, store, inbox, rng, snapshot=snapshot, thr=thr):
-                if mid != 0:
-                    return store, []
-                groups_in: dict[int, list] = {}
-                for _, key, value in inbox:
-                    if key == "cand":
-                        groups_in.setdefault(value[0], []).extend(value[1])
-                added: list[int] = []
-                newly_dead: list[int] = []
-                active_now = set(snapshot)
-                for j in sorted(groups_in):
-                    cands = sorted(groups_in[j], key=lambda t: (t[0], t[1]))[:s_size]
-                    for _, v, labels in cands:
-                        if v not in active_now:
-                            continue
-                        comp_ids = [snapshot[lab - 1] for lab in labels]
-                        alive_comp = [u for u in comp_ids if u in active_now]
-                        if len(alive_comp) >= thr:
-                            added.append(v)
-                            newly_dead.append(v)
-                            newly_dead.extend(alive_comp)
-                            active_now.discard(v)
-                            active_now.difference_update(alive_comp)
-                            break
-                kset = store["K"].value + tuple(added)
-                return {
-                    **store,
-                    "K": Payload(kset, len(kset)),
-                    "added": tuple(added),
-                    "newly_dead": tuple(sorted(set(newly_dead))),
-                }, []
-
-            cluster.run_round(central_step, label=f"clique[{phase}]:scan")
-            central = cluster.stores[0]
-            clique.extend(central["added"])
-            newly = central["newly_dead"]
-            active.difference_update(newly)
+            newly = _clique_scan_round(cluster, graph.n, groups_of, clique, dead, f"clique[{phase}]:scan")
             dead_rounds(newly, thr, f"clique[{phase}]")
             vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"clique[{phase}]:vh")
 
@@ -623,79 +525,20 @@ def _clique_attempt(graph: Graph, cluster: Cluster):
         def pull_step(mid, store, inbox, rng, thr=thr):
             adj = store["adj"].value
             actives_t = store["actives"].value
-            aset = set(actives_t)
-            heavy = [
-                (v, comp_labels(adj, actives_t, v))
-                for v in sorted(adj)
-                if v in aset and comp_degree(adj, aset, v) >= thr
-            ]
+            heavy = [(v, _comp_labels(adj, actives_t, v)) for v in _comp_heavy(store, thr)]
             return store, ([(0, "pull", heavy)] if heavy else [])
 
         cluster.run_round(pull_step, label=f"clique[{phase}]:pull")
-        snapshot = tuple(sorted(active))
-
-        def pull_central(mid, store, inbox, rng, snapshot=snapshot):
-            if mid != 0:
-                return store, []
-            pulled = []
-            for _, key, value in inbox:
-                if key == "pull":
-                    pulled.extend(value)
-            pulled.sort()
-            active_now = set(snapshot)
-            added: list[int] = []
-            newly_dead: list[int] = []
-            for v, labels in pulled:
-                if v not in active_now:
-                    continue
-                comp_ids = [snapshot[lab - 1] for lab in labels]
-                alive_comp = [u for u in comp_ids if u in active_now]
-                added.append(v)
-                newly_dead.append(v)
-                newly_dead.extend(alive_comp)
-                active_now.discard(v)
-                active_now.difference_update(alive_comp)
-            kset = store["K"].value + tuple(added)
-            return {
-                **store,
-                "K": Payload(kset, len(kset)),
-                "added": tuple(added),
-                "newly_dead": tuple(sorted(set(newly_dead))),
-            }, []
-
-        cluster.run_round(pull_central, label=f"clique[{phase}]:phase-mis")
-        central = cluster.stores[0]
-        clique.extend(central["added"])
-        newly = central["newly_dead"]
-        active.difference_update(newly)
+        newly = _clique_scan_round(cluster, graph.n, _pulled_groups, clique, dead, f"clique[{phase}]:phase-mis")
         if newly:
             dead_rounds(newly, thr, f"clique[{phase}]:post")
 
     # Final sweep: remaining actives are pairwise adjacent in G; all join K.
-    def sweep_step(mid, store, inbox, rng):
+    def clique_left(store) -> tuple:
         adj = store["adj"].value
-        actives_t = store["actives"].value
-        aset = set(actives_t)
-        left = tuple(
-            (v, comp_degree(adj, aset, v)) for v in sorted(adj) if v in aset
-        )
-        return store, ([(0, "sweep", left)] if left else [])
+        aset = set(store["actives"].value)
+        return tuple((v, _comp_degree(adj, aset, v)) for v in sorted(adj) if v in aset)
 
-    cluster.run_round(sweep_step, label="clique:sweep-ship")
-
-    def sweep_central(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        left = []
-        for _, key, value in inbox:
-            if key == "sweep":
-                left.extend(value)
-        for v, d in left:
-            assert d == 0, f"final sweep saw active vertex {v} with complement degree {d}"
-        kset = store["K"].value + tuple(v for v, _ in sorted(left))
-        return {**store, "K": Payload(kset, len(kset)), "added": tuple(v for v, _ in left)}, []
-
-    cluster.run_round(sweep_central, label="clique:sweep")
-    clique.extend(cluster.stores[0]["added"])
+    clique.extend(_final_sweep(cluster, "K", clique_left, "clique"))
     extras = {"passes": passes}
     return tuple(sorted(clique)), passes, extras

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -52,9 +53,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     @cached_property
     def max_degree(self) -> int:
@@ -283,34 +281,27 @@ def validate(solution, instance) -> ValidationReport:
 
 
 def _validate_matching(sol: Matching, graph: Graph) -> ValidationReport:
-    loads = [0] * graph.n
-    for eid in sol.edge_ids:
-        if not (0 <= eid < graph.m):
-            return ValidationReport("matching", False, None, f"malformed: edge id {eid} out of range")
-        u, v = graph.endpoints(eid)
-        loads[u] += 1
-        loads[v] += 1
-    overloaded = [v for v, load in enumerate(loads) if load > 1]
-    weight = sol.weight(graph)
-    if overloaded:
-        return ValidationReport("matching", False, weight, "vertex load exceeds 1", tuple(overloaded[:1]))
-    return ValidationReport("matching", True, weight)
+    return _validate_loads(sol, graph, [1] * graph.n, "matching", "vertex load exceeds 1")
 
 
 def validate_b_matching(sol: Matching, graph: Graph, b) -> ValidationReport:
     caps = _vertex_capacities(graph.n, b)
+    return _validate_loads(sol, graph, caps, "b-matching", "vertex load exceeds capacity")
+
+
+def _validate_loads(sol: Matching, graph: Graph, caps: list[int], kind: str, overload: str) -> ValidationReport:
     loads = [0] * graph.n
     for eid in sol.edge_ids:
         if not (0 <= eid < graph.m):
-            return ValidationReport("b-matching", False, None, f"malformed: edge id {eid} out of range")
+            return ValidationReport(kind, False, None, f"malformed: edge id {eid} out of range")
         u, v = graph.endpoints(eid)
         loads[u] += 1
         loads[v] += 1
     bad = [v for v in range(graph.n) if loads[v] > caps[v]]
     weight = sol.weight(graph)
     if bad:
-        return ValidationReport("b-matching", False, weight, "vertex load exceeds capacity", tuple(bad[:1]))
-    return ValidationReport("b-matching", True, weight)
+        return ValidationReport(kind, False, weight, overload, tuple(bad[:1]))
+    return ValidationReport(kind, True, weight)
 
 
 def _validate_cover(sol: Cover, instance: SetCoverInstance) -> ValidationReport:
@@ -441,6 +432,18 @@ def vertex_cover_encoding(graph: Graph, vertex_weights=None) -> SetCoverInstance
 # File formats (canonical text, byte-exact round trip)
 
 
+@contextmanager
+def malformed_numbers(source: str):
+    """A number in ``source`` that does not parse inside this block is
+    malformed input, not a traceback."""
+    try:
+        yield
+    except MalformedInstance:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInstance(f"bad number in {source}: {exc}") from exc
+
+
 def _parse_weight(tok: str) -> Fraction:
     if "/" in tok:
         num, den = tok.split("/", 1)
@@ -462,15 +465,16 @@ def graph_from_text(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise MalformedInstance("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != m:
-        raise MalformedInstance(f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MalformedInstance(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1]), _parse_weight(parts[2])))
+    with malformed_numbers("graph file"):
+        n, m = int(head[0]), int(head[1])
+        if len(rows) - 1 != m:
+            raise MalformedInstance(f"expected {m} edge lines, found {len(rows) - 1}")
+        edges = []
+        for ln in rows[1:]:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise MalformedInstance(f"bad edge line: {ln!r}")
+            edges.append((int(parts[0]), int(parts[1]), _parse_weight(parts[2])))
     return make_graph(n, edges)
 
 
@@ -489,21 +493,22 @@ def set_cover_from_text(text: str) -> SetCoverInstance:
     head = rows[0].split()
     if len(head) != 2:
         raise MalformedInstance("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(rows) - 1 != n:
-        raise MalformedInstance(f"expected {n} set lines, found {len(rows) - 1}")
-    sets, weights = [], []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) < 2:
-            raise MalformedInstance(f"bad set line: {ln!r}")
-        w = _parse_weight(parts[0])
-        k = int(parts[1])
-        elems = [int(p) for p in parts[2:]]
-        if len(elems) != k:
-            raise MalformedInstance(f"set line announces {k} elements, has {len(elems)}")
-        sets.append(elems)
-        weights.append(w)
+    with malformed_numbers("set-cover file"):
+        n, m = int(head[0]), int(head[1])
+        if len(rows) - 1 != n:
+            raise MalformedInstance(f"expected {n} set lines, found {len(rows) - 1}")
+        sets, weights = [], []
+        for ln in rows[1:]:
+            parts = ln.split()
+            if len(parts) < 2:
+                raise MalformedInstance(f"bad set line: {ln!r}")
+            w = _parse_weight(parts[0])
+            k = int(parts[1])
+            elems = [int(p) for p in parts[2:]]
+            if len(elems) != k:
+                raise MalformedInstance(f"set line announces {k} elements, has {len(elems)}")
+            sets.append(elems)
+            weights.append(w)
     return make_set_cover(n, m, sets, weights)
 
 

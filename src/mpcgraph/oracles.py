@@ -30,7 +30,6 @@ class CoverReduction:
 
     def __init__(self, weights: Sequence[Fraction]):
         self.residual = list(weights)
-        self.zeroed: list[int] = []
 
     def process_element(self, covering: Sequence[int]) -> tuple[int, ...]:
         """Apply one local-ratio step for an element with covering sets T_j.
@@ -82,6 +81,10 @@ class MatchingReduction:
         g = self.gain(u, v, w)
         if g <= 0:
             raise ValueError("pushing an edge with non-positive modified weight")
+        self.record(eid, u, v, g)
+
+    def record(self, eid: int, u: int, v: int, g) -> None:
+        """Push an edge whose gain g is already known (a stack entry)."""
         if self.caps is None:
             self.phi[u] += g
             self.phi[v] += g

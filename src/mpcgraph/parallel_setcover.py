@@ -19,41 +19,40 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Cluster, ClusterConfig, Payload, RunResult, run_with_retries
-from .exactmath import as_fraction, exceeds_pow, ipow_ceil, ipow_floor, pow_threshold
+from .engine import (
+    Cluster,
+    ClusterConfig,
+    Payload,
+    RunResult,
+    central,
+    cluster_config,
+    gather,
+    run_with_retries,
+)
+from .exactmath import exceeds_pow, ipow_ceil, ipow_floor, pow_threshold
 from .instances import Cover, SetCoverInstance, Uncoverable, make_set_cover
 from .instances import _binomial
 
 
-def psc_config(instance: SetCoverInstance, mu="1/5", seed: int = 0, **overrides) -> ClusterConfig:
-    """Cluster regime for set-sharded cover: scale parameter is the ground
-    set size m; memory realizes the m^(1+mu) log n bound."""
-    mu = as_fraction(mu)
-    m = max(2, instance.m)
-    eta = overrides.pop("eta", None) or ipow_floor(m, 1 + mu)
-    total = sum(1 + len(s) for s in instance.sets)
-    machine_count = overrides.pop("machine_count", None) or max(1, -(-total // max(1, eta)))
-    k = overrides.get("budget_multiplier", 8)
-    logn = max(1, math.ceil(math.log2(max(2, instance.n))))
-    alpha = mu / 8 if mu > 0 else Fraction(1, 8)
-    classes = int(-(-Fraction(1) // alpha))
-    fanout = overrides.pop("fanout", None) or max(2, ipow_ceil(m, mu))
-    budget = overrides.pop("memory_budget_words", None) or (
-        k * (logn * eta + (classes + 2) * fanout)
-        + 8 * (total // machine_count + 1)
-        + 4 * instance.m
-    )
-    return ClusterConfig(
-        n=m,
-        mu=mu,
-        c=overrides.pop("c", None),
-        eta=eta,
-        machine_count=machine_count,
-        memory_budget_words=budget,
-        fanout=fanout,
-        seed=seed,
-        **overrides,
-    )
+def _set_words(instance: SetCoverInstance) -> int:
+    return sum(1 + len(s) for s in instance.sets)
+
+
+def _psc_budget(instance: SetCoverInstance):
+    """Budget for set-sharded cover: the m^(1+mu) log n bound plus the
+    resident set shards."""
+
+    def budget(cfg: ClusterConfig) -> int:
+        logn = max(1, math.ceil(math.log2(max(2, instance.n))))
+        alpha = cfg.mu / 8 if cfg.mu > 0 else Fraction(1, 8)
+        classes = int(-(-Fraction(1) // alpha))
+        return (
+            cfg.budget_multiplier * (logn * cfg.eta + (classes + 2) * cfg.fanout)
+            + 8 * (_set_words(instance) // cfg.machine_count + 1)
+            + 4 * instance.m
+        )
+
+    return budget
 
 
 def potential_phi(instance: SetCoverInstance, covered, threshold: Fraction, epsilon) -> int:
@@ -73,12 +72,16 @@ def potential_phi(instance: SetCoverInstance, covered, threshold: Fraction, epsi
 def approx_sc_lnDelta(
     instance: SetCoverInstance, epsilon, config: ClusterConfig | None = None, **kw
 ) -> RunResult:
-    """(1+eps) H_Delta-approximate minimum weight set cover."""
+    """(1+eps) H_Delta-approximate minimum weight set cover.
+
+    Sets are sharded, so the scale parameter is the ground set size m and
+    the items sharded eta per machine are the sets' words.
+    """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     instance.check_coverable()
-    cfg = config or psc_config(instance, **kw)
+    cfg = config or cluster_config(max(2, instance.m), _set_words(instance), _psc_budget(instance), **kw)
     return run_with_retries(cfg, lambda cluster: _psc_attempt(instance, epsilon, cluster))
 
 
@@ -140,27 +143,33 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
     iterations = 0
     level_ordinal = 0
 
+    def classified(store, cut: Fraction):
+        """(id, uncovered size, size class) of each own set whose cost ratio
+        still clears the cut, in id order."""
+        uncov = store["uncov"].value
+        cut_n, cut_d = cut.numerator, cut.denominator
+        for i, (w, _) in store["sets"].value.items():
+            size = len(uncov[i])
+            # size/w >= cut, by integer cross-multiplication
+            if size and size * cut_d * w.denominator >= cut_n * w.numerator:
+                for ci in range(1, classes + 1):
+                    if size >= class_lo[ci]:
+                        yield i, size, ci
+                        break
+
     while covered_total < instance.m:
         cut = level / one_plus
-        cut_n, cut_d = cut.numerator, cut.denominator
         inner = 0
         phi_here: list[int] = []
 
         while True:
             # Stratify and count classes (charged: vector fold + rebroadcast).
-            def stats_step(mid, store, inbox, rng, cut_n=cut_n, cut_d=cut_d):
+            def stats_step(mid, store, inbox, rng, cut=cut):
                 counts = [0] * (classes + 1)
                 phi = 0
-                for i, (w, _) in store["sets"].value.items():
-                    size = len(store["uncov"].value[i])
-                    # size/w >= cut, by integer cross-multiplication
-                    if size == 0 or size * cut_d * w.denominator < cut_n * w.numerator:
-                        continue
+                for _, size, ci in classified(store, cut):
                     phi += size
-                    for ci in range(1, classes + 1):
-                        if size >= class_lo[ci]:
-                            counts[ci - 1] += 1
-                            break
+                    counts[ci - 1] += 1
                 return {**store, "stats": tuple(counts) + (phi,)}, []
 
             cluster.run_round(stats_step, label=f"psc[{iterations}]:stats")
@@ -176,18 +185,11 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
 
             # Resample until every checked group is small enough.
             while True:
-                def sample_step(mid, store, inbox, rng, class_sizes=class_sizes, cut_n=cut_n, cut_d=cut_d):
-                    own = store["sets"].value
-                    uncov = store["uncov"].value
+                def sample_step(mid, store, inbox, rng, class_sizes=class_sizes, cut=cut):
                     # Per sampled set: the class and the groups it joined.
                     assign: dict[int, tuple[int, tuple]] = {}
                     counts: dict[tuple, int] = {}
-                    for i in sorted(own):
-                        w, _ = own[i]
-                        size = len(uncov[i])
-                        if size == 0 or size * cut_d * w.denominator < cut_n * w.numerator:
-                            continue
-                        ci = next(c for c in range(1, classes + 1) if size >= class_lo[c])
+                    for i, _, ci in classified(store, cut):
                         total_in_class = class_sizes[ci - 1]
                         if total_in_class <= quota_exact:
                             # q = 1: the whole class goes into every group.
@@ -239,15 +241,13 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
 
             cluster.run_round(ship_step, label=f"psc[{iterations}]:ship")
 
-            def central_step(mid, store, inbox, rng, cut=cut):
-                if mid != 0:
-                    return store, []
+            @central
+            def central_step(store, inbox, cut=cut):
                 groups: dict[tuple, list] = {}
-                for _, key, value in inbox:
-                    if key == "grp":
-                        for i, w, elems, ci, gids in value:
-                            for j in gids:
-                                groups.setdefault((ci, j), []).append((i, w, elems))
+                for rows in gather(inbox, "grp"):
+                    for i, w, elems, ci, gids in rows:
+                        for j in gids:
+                            groups.setdefault((ci, j), []).append((i, w, elems))
                 cset = set(store["C"].value)
                 added: list[int] = []
 
@@ -279,10 +279,10 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                 }, []
 
             cluster.run_round(central_step, label=f"psc[{iterations}]:central")
-            central = cluster.stores[0]
-            added = central["added"]
+            hub = cluster.stores[0]
+            added = hub["added"]
             chosen.extend(added)
-            covered_total = len(central["C"].value)
+            covered_total = len(hub["C"].value)
             iteration_log.append((level_ordinal, phi_here[-1], added))
 
             new_elems = tuple(sorted(
@@ -291,9 +291,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
             cluster.broadcast("cdelta", new_elems, label=f"psc[{iterations}]:cdelta")
 
             def update_step(mid, store, inbox, rng):
-                delta = store["cdelta"]
-                if isinstance(delta, Payload):
-                    delta = delta.value
+                delta = store["cdelta"].value
                 if not delta:
                     return store, []
                 dset = set(delta)
@@ -362,7 +360,7 @@ def preprocess_weights(
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     instance.check_coverable()
-    cfg = config or psc_config(instance)
+    cfg = config or cluster_config(max(2, instance.m), _set_words(instance), _psc_budget(instance))
     cluster = Cluster(cfg)
     m_count = cfg.machine_count
     for mid in range(m_count):
@@ -406,14 +404,12 @@ def preprocess_weights(
 
     cluster.run_round(classify_step, label="prep:classify")
 
-    def gather_step(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
+    @central
+    def gather_step(store, inbox):
         forced, deleted = [], []
-        for _, key, value in inbox:
-            if key == "classes":
-                forced.extend(value[0])
-                deleted.extend(value[1])
+        for f, d in gather(inbox, "classes"):
+            forced.extend(f)
+            deleted.extend(d)
         return {**store, "forced": tuple(sorted(forced)), "deleted": tuple(sorted(deleted))}, []
 
     cluster.run_round(gather_step, label="prep:gather")

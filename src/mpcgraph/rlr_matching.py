@@ -23,42 +23,17 @@ from .engine import (
     ClusterConfig,
     Payload,
     RunResult,
-    WhpFailure,
+    central,
+    cluster_config,
+    gather,
+    gather_concat,
     run_with_retries,
 )
-from .exactmath import as_fraction, ipow_ceil, ipow_floor
+from .exactmath import ipow_ceil
 from .instances import Graph, _vertex_capacities, make_matching
 from .oracles import MatchingReduction
 
 EDGE_WORDS = 4  # (eid, u, v, w) message record
-
-
-def match_config(graph: Graph, mu="1/5", seed: int = 0, **overrides) -> ClusterConfig:
-    """Cluster regime for edge-sharded matching: eta edges per machine,
-    budget scaled for 4-word edge records plus resident phi and stack."""
-    mu = as_fraction(mu)
-    n = max(2, graph.n)
-    eta = overrides.pop("eta", None) or ipow_floor(n, 1 + mu)
-    machine_count = overrides.pop("machine_count", None) or max(1, -(-graph.m // max(1, eta)))
-    k = overrides.get("budget_multiplier", 8)
-    budget = overrides.pop("memory_budget_words", None)
-    if budget is None:
-        if overrides.get("strict_mpc"):
-            budget = max(1, k * -(-(EDGE_WORDS * graph.m) // machine_count)) + 4 * graph.n
-        else:
-            budget = k * (4 * EDGE_WORDS + 2) * eta + 4 * graph.n + 4 * graph.m
-    fanout = overrides.pop("fanout", None) or max(2, ipow_ceil(n, mu))
-    return ClusterConfig(
-        n=n,
-        mu=mu,
-        c=overrides.pop("c", None),
-        eta=eta,
-        machine_count=machine_count,
-        memory_budget_words=budget,
-        fanout=fanout,
-        seed=seed,
-        **overrides,
-    )
 
 
 def _scaled_weights(graph: Graph) -> tuple[list[int], int]:
@@ -74,7 +49,15 @@ def approx_max_matching(graph: Graph, config: ClusterConfig | None = None, **kw)
     Deterministically at least half the brute-force optimum; iteration
     count is O(c/mu) for eta = n^(1+mu) and O(log n) for eta = n, w.h.p.
     """
-    cfg = config or match_config(graph, **kw)
+
+    def budget(cfg: ClusterConfig) -> int:
+        # 4-word edge records plus the resident phi and stack
+        k = cfg.budget_multiplier
+        if cfg.strict_mpc:
+            return max(1, k * -(-(EDGE_WORDS * graph.m) // cfg.machine_count)) + 4 * graph.n
+        return k * (4 * EDGE_WORDS + 2) * cfg.eta + 4 * graph.n + 4 * graph.m
+
+    cfg = config or cluster_config(max(2, graph.n), graph.m, budget, **kw)
     intw, _ = _scaled_weights(graph)
     return run_with_retries(cfg, lambda cluster: _matching_attempt(graph, intw, cluster))
 
@@ -120,23 +103,13 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
 
         cluster.run_round(sample_step, label=f"match[{iterations}]:sample")
 
-        def central_step(mid, store, inbox, rng):
-            if mid != 0:
-                return store, []
-            sampled = []
-            for _, key, value in inbox:
-                if key == "Ev":
-                    sampled.extend(value)
+        @central
+        def central_step(store, inbox):
+            sampled = gather_concat(inbox, "Ev")
             sampled.sort()
             if 2 * len(sampled) > fail_at:
                 return {**store, "failed": f"sum|E'_v|={2 * len(sampled)} > {fail_at}"}, []
-            stack = store["stack"].value
-            red = MatchingReduction(n)
-            for eid, u, v, g in stack:
-                red.stack.append((eid, u, v, g))
-                red.pushed.add(eid)
-                red.phi[u] += g
-                red.phi[v] += g
+            red = _replayed(MatchingReduction(n), store["stack"].value)
             by_vertex: dict[int, list] = {}
             for rec in sampled:
                 by_vertex.setdefault(rec[1], []).append(rec)
@@ -155,34 +128,15 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
                 if best is not None:
                     red.push(*best)
                     pushes.append(best[0])
-            changed = sorted({x for eid in pushes for x in graph.endpoints(eid)})
-            phi_delta = tuple((v, red.phi[v]) for v in changed)
-            new_stack = tuple(red.stack)
-            out = [
-                (d, "upd", (phi_delta, tuple(pushes)))
-                for d in range(m_count)
-            ]
-            return {
-                **store,
-                "stack": Payload(new_stack, 4 * len(new_stack)),
-                "pushes": tuple(pushes),
-            }, out
+            return _publish(store, red, pushes, graph, m_count)
 
         cluster.run_round(central_step, label=f"match[{iterations}]:central")
-        central = cluster.stores[0]
-        if "failed" in central:
-            cluster.mark_failure(central["failed"])
-            raise WhpFailure(central["failed"])
-        push_order.extend(central["pushes"])
+        if "failed" in cluster.stores[0]:
+            cluster.fail(cluster.stores[0]["failed"])
+        push_order.extend(cluster.stores[0]["pushes"])
 
         def apply_step(mid, store, inbox, rng):
-            phi_delta, pushes = (), ()
-            for _, key, value in inbox:
-                if key == "upd":
-                    phi_delta, pushes = value
-            phi = store["phi"].value
-            if phi_delta:
-                phi = {**phi, **dict(phi_delta)}
+            phi, pushes = _updated_phi(store, inbox)
             dead = set(pushes)
             alive = store["alive"].value
             new_alive = []
@@ -203,24 +157,60 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
         e_series.append(e_size)
         delta_series.append(_alive_max_degree(cluster, n))
 
-    def unwind_step(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        red = MatchingReduction(n)
-        for eid, u, v, g in store["stack"].value:
-            red.stack.append((eid, u, v, g))
-        ids = tuple(sorted(red.unwind(n)))
-        return {**store, "matching": ids}, []
-
-    cluster.run_round(unwind_step, label="match:unwind")
-    ids = cluster.stores[0]["matching"]
-    matching = make_matching(graph, ids)
+    matching = make_matching(graph, _unwind_round(cluster, n, None, "match"))
     extras = {
         "e_series": e_series,
         "delta_series": delta_series,
         "push_order": push_order,
     }
     return matching, iterations, extras
+
+
+def _replayed(red: MatchingReduction, stack) -> MatchingReduction:
+    """``red`` with the pushed stack replayed: the reduction state left by
+    the earlier iterations."""
+    for entry in stack:
+        red.record(*entry)
+    return red
+
+
+def _publish(store: dict, red: MatchingReduction, pushes: list, graph: Graph, m_count: int):
+    """Central store and outbox after a push pass: the new stack stays on
+    the central machine, and every machine gets the phi values of the
+    pushed edges' endpoints and the pushed ids."""
+    changed = sorted({x for eid in pushes for x in graph.endpoints(eid)})
+    phi_delta = tuple((v, red.phi[v]) for v in changed)
+    new_stack = tuple(red.stack)
+    out = [(d, "upd", (phi_delta, tuple(pushes))) for d in range(m_count)]
+    return {
+        **store,
+        "stack": Payload(new_stack, 4 * len(new_stack)),
+        "pushes": tuple(pushes),
+    }, out
+
+
+def _updated_phi(store: dict, inbox) -> tuple[dict, tuple]:
+    """This machine's phi with the central update applied, and the ids the
+    central machine pushed."""
+    phi_delta, pushes = gather(inbox, "upd")[-1]
+    phi = store["phi"].value
+    if phi_delta:
+        phi = {**phi, **dict(phi_delta)}
+    return phi, pushes
+
+
+def _unwind_round(cluster: Cluster, n: int, caps: list[int] | None, tag: str) -> tuple:
+    """The charged final round: unwind the stack on the central machine;
+    returns the matched edge ids."""
+
+    @central
+    def unwind_step(store, inbox):
+        red = MatchingReduction(n, caps)
+        red.stack.extend(store["stack"].value)
+        return {**store, "matching": tuple(sorted(red.unwind(n)))}, []
+
+    cluster.run_round(unwind_step, label=f"{tag}:unwind")
+    return cluster.stores[0]["matching"]
 
 
 def _alive_max_degree(cluster: Cluster, n: int) -> int:
@@ -239,30 +229,6 @@ def _alive_max_degree(cluster: Cluster, n: int) -> int:
 # b-matching
 
 
-def bmatch_config(graph: Graph, b, epsilon, mu="1/5", seed: int = 0, **overrides) -> ClusterConfig:
-    mu = as_fraction(mu)
-    n = max(2, graph.n)
-    eta = overrides.pop("eta", None) or ipow_floor(n, 1 + mu)
-    machine_count = overrides.pop("machine_count", None) or max(1, -(-graph.m // max(1, eta)))
-    caps = _vertex_capacities(graph.n, b)
-    delta = Fraction(epsilon) / (1 + Fraction(epsilon))
-    pushes = max(1, math.ceil(max(caps, default=1) * math.log(1 / float(delta))))
-    k = overrides.get("budget_multiplier", 8)
-    budget = overrides.pop("memory_budget_words", None) or k * 10 * pushes * eta + 6 * graph.m + 4 * graph.n
-    fanout = overrides.pop("fanout", None) or max(2, ipow_ceil(n, mu))
-    return ClusterConfig(
-        n=n,
-        mu=mu,
-        c=overrides.pop("c", None),
-        eta=eta,
-        machine_count=machine_count,
-        memory_budget_words=budget,
-        fanout=fanout,
-        seed=seed,
-        **overrides,
-    )
-
-
 def approx_b_matching(graph: Graph, b, epsilon, config: ClusterConfig | None = None, **kw) -> RunResult:
     """(3 - 2/max{2,b} + 2eps)-approximate maximum weight b-matching.
 
@@ -275,8 +241,14 @@ def approx_b_matching(graph: Graph, b, epsilon, config: ClusterConfig | None = N
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    cfg = config or bmatch_config(graph, b, epsilon, **kw)
     caps = _vertex_capacities(graph.n, b)
+    delta = epsilon / (1 + epsilon)
+    pushes = max(1, math.ceil(max(caps, default=1) * math.log(1 / float(delta))))
+
+    def budget(cfg: ClusterConfig) -> int:
+        return cfg.budget_multiplier * 10 * pushes * cfg.eta + 6 * graph.m + 4 * graph.n
+
+    cfg = config or cluster_config(max(2, graph.n), graph.m, budget, **kw)
     return run_with_retries(cfg, lambda cluster: _bmatching_attempt(graph, caps, epsilon, cluster))
 
 
@@ -340,19 +312,10 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
 
         cluster.run_round(sample_step, label=f"bmatch[{iterations}]:sample")
 
-        def central_step(mid, store, inbox, rng):
-            if mid != 0:
-                return store, []
-            red = MatchingReduction(n, caps, epsilon)
-            for eid, u, v, g in store["stack"].value:
-                red.stack.append((eid, u, v, g))
-                red.pushed.add(eid)
-                red.phi[u] += Fraction(g, caps[u])
-                red.phi[v] += Fraction(g, caps[v])
-            lists: dict[int, tuple] = {}
-            for _, key, value in inbox:
-                if key == "Ev":
-                    lists[value[0]] = value[1]
+        @central
+        def central_step(store, inbox):
+            red = _replayed(MatchingReduction(n, caps, epsilon), store["stack"].value)
+            lists = dict(gather(inbox, "Ev"))
             pushes = []
             for v in sorted(lists):
                 count = 0
@@ -372,27 +335,13 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
                     red.push(*best)
                     pushes.append(best[0])
                     count += 1
-            changed = sorted({x for eid in pushes for x in graph.endpoints(eid)})
-            phi_delta = tuple((v, red.phi[v]) for v in changed)
-            new_stack = tuple(red.stack)
-            out = [(d, "upd", (phi_delta, tuple(pushes))) for d in range(m_count)]
-            return {
-                **store,
-                "stack": Payload(new_stack, 4 * len(new_stack)),
-                "pushes": tuple(pushes),
-            }, out
+            return _publish(store, red, pushes, graph, m_count)
 
         cluster.run_round(central_step, label=f"bmatch[{iterations}]:central")
         push_order.extend(cluster.stores[0]["pushes"])
 
         def apply_step(mid, store, inbox, rng):
-            phi_delta, pushes = (), ()
-            for _, key, value in inbox:
-                if key == "upd":
-                    phi_delta, pushes = value
-            phi = store["phi"].value
-            if phi_delta:
-                phi = {**phi, **dict(phi_delta)}
+            phi, pushes = _updated_phi(store, inbox)
             pushed = store["pushed"].value | set(pushes)
             count = 0
             for v, incident in store["adj"].value.items():
@@ -411,17 +360,7 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
         e_size, _ = cluster.aggregate_and_broadcast("esize", lambda a, b: a + b, label=f"bmatch[{iterations}]:count")
         e_series.append(e_size)
 
-    def unwind_step(mid, store, inbox, rng):
-        if mid != 0:
-            return store, []
-        red = MatchingReduction(n, caps, epsilon)
-        for eid, u, v, g in store["stack"].value:
-            red.stack.append((eid, u, v, g))
-        ids = tuple(sorted(red.unwind(n)))
-        return {**store, "matching": ids}, []
-
-    cluster.run_round(unwind_step, label="bmatch:unwind")
-    ids = cluster.stores[0]["matching"]
+    ids = _unwind_round(cluster, n, caps, "bmatch")
     matching = make_matching(graph, ids, caps)
     extras = {"e_series": e_series, "push_order": push_order}
     return matching, iterations, extras

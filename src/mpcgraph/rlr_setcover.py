@@ -18,172 +18,156 @@ from .engine import (
     ClusterConfig,
     Payload,
     RunResult,
-    WhpFailure,
+    central,
+    cluster_config,
     derive_seed,
+    gather,
+    gather_concat,
     run_with_retries,
 )
-from .exactmath import ipow_ceil, ipow_floor
 from .instances import Cover, Graph, SetCoverInstance, vertex_cover_encoding
 from .oracles import CoverReduction
 
 
-def sc_config(instance: SetCoverInstance, mu="1/5", seed: int = 0, **overrides) -> ClusterConfig:
-    """Cluster regime for the dual-sharded set-cover engine.
+def _cover_budget(m: int, f: int):
+    """Memory budget of the dual-sharded cover engine: the f*n^(1+mu) space
+    bound with the configured constant multiplier."""
 
-    The scale parameter is the set count n; elements are sharded eta per
-    machine, and the budget realizes the f*n^(1+mu) space bound with the
-    configured constant multiplier.
-    """
-    eta = overrides.pop("eta", None)
-    return _sc_config(instance.n, instance.m, instance.frequency, mu, seed, eta, **overrides)
-
-
-def _sc_config(n, m, f, mu, seed, eta, **overrides):
-    from .exactmath import as_fraction
-
-    mu = as_fraction(mu)
-    if eta is None:
-        eta = ipow_floor(n, 1 + mu)
-    machine_count = overrides.pop("machine_count", None) or max(1, -(-m // max(1, eta)))
-    k = overrides.get("budget_multiplier", 8)
-    budget = overrides.pop("memory_budget_words", None)
-    if budget is None:
-        if overrides.get("strict_mpc"):
+    def budget(cfg: ClusterConfig) -> int:
+        if cfg.strict_mpc:
             # MPC-strict: S = O(N/M) with N = the dual-view input size
-            budget = max(1, k * -(-(m * (f + 1)) // machine_count))
-        else:
-            budget = k * (f + 2) * eta
-    fanout = overrides.pop("fanout", None) or max(2, ipow_ceil(n, mu))
-    return ClusterConfig(
-        n=n,
-        mu=mu,
-        c=overrides.pop("c", None),
-        eta=eta,
-        machine_count=machine_count,
-        memory_budget_words=budget,
-        fanout=fanout,
-        seed=seed,
-        **overrides,
-    )
+            return max(1, cfg.budget_multiplier * -(-(m * (f + 1)) // cfg.machine_count))
+        return cfg.budget_multiplier * (f + 2) * cfg.eta
+
+    return budget
 
 
 def approx_sc_f(instance: SetCoverInstance, config: ClusterConfig | None = None, **kw) -> RunResult:
     """f-approximate minimum weight set cover on the simulated cluster.
 
-    Fails an iteration (and retries the whole run) when the sample exceeds
-    2*fail_multiplier*eta elements.  The returned cover equals the zero
-    residual sets of a valid sequential local-ratio execution.
+    The scale parameter is the set count n; elements are sharded eta per
+    machine.  Fails an iteration (and retries the whole run) when the
+    sample exceeds 2*fail_multiplier*eta elements.  The returned cover
+    equals the zero residual sets of a valid sequential local-ratio
+    execution.
     """
     instance.check_coverable()
-    cfg = config or sc_config(instance, **kw)
+    cfg = config or cluster_config(instance.n, instance.m, _cover_budget(instance.m, instance.frequency), **kw)
     return run_with_retries(cfg, lambda cluster: _sc_f_attempt(instance, cluster))
 
 
-def _sc_f_attempt(instance: SetCoverInstance, cluster: Cluster):
-    cfg = cluster.config
-    m_count = cfg.machine_count
-    eta = cfg.eta
-    fail_at = 2 * cfg.fail_multiplier * eta
-
-    shards = [[] for _ in range(m_count)]
-    for j in range(instance.m):
-        shards[j % m_count].append(j)
+def _preload_elements(instance: SetCoverInstance, cluster: Cluster) -> None:
+    """Shard the dual view (element j -> T_j, alive bit) over the machines;
+    the central machine holds the residual weights and the cover."""
+    m_count = cluster.config.machine_count
     for mid in range(m_count):
-        table = {j: instance.dual[j] for j in shards[mid]}
+        own = range(mid, instance.m, m_count)
+        table = {j: instance.dual[j] for j in own}
         size = sum(1 + len(t) for t in table.values())
         cluster.preload(mid, "elems", Payload(table, size))
-        cluster.preload(mid, "alive", Payload(frozenset(shards[mid]), len(shards[mid])))
+        cluster.preload(mid, "alive", Payload(frozenset(own), len(own)))
         cluster.preload(mid, "usize", instance.m)
     cluster.preload(0, "residual", Payload(tuple(instance.weights), instance.n))
     cluster.preload(0, "cover", Payload((), 0))
 
+
+def _sample_round(cluster: Cluster, u_size: int, tag: str) -> float:
+    """Every machine ships its alive elements' T_j lists, each sampled with
+    p = min(1, 2*eta/|U_r|), to the central machine; returns p."""
+    p = min(1.0, (2 * cluster.config.eta) / u_size)
+
+    def sample_step(mid, store, inbox, rng):
+        alive = store["alive"].value
+        table = store["elems"].value
+        if p >= 1.0:
+            picked = sorted(alive)
+        else:
+            picked = sorted(j for j in alive if rng.random() < p)
+        payload = [(j, table[j]) for j in picked]
+        return store, ([(0, "sampled", payload)] if payload else [])
+
+    cluster.run_round(sample_step, label=f"{tag}:sample")
+    return p
+
+
+def _central_round(cluster: Cluster, instance: SetCoverInstance, tag: str, publish) -> tuple:
+    """Run the sampled elements through the sequential local-ratio reduction
+    in ascending element order on the central machine.
+
+    ``publish(newly)`` gives the extra store entries and the outbox that
+    hand the newly zeroed sets on.  Returns the sampled element order.
+    """
+    fail_at = 2 * cluster.config.fail_multiplier * cluster.config.eta
+
+    @central
+    def central_step(store, inbox):
+        pairs = gather_concat(inbox, "sampled")
+        pairs.sort()
+        if len(pairs) > fail_at:
+            return {**store, "failed": f"|U'|={len(pairs)} > {fail_at}"}, []
+        red = CoverReduction(store["residual"].value)
+        newly: list[int] = []
+        for j, t in pairs:
+            newly.extend(red.process_element(t))
+        newly = sorted(set(newly))
+        cover = store["cover"].value + tuple(newly)
+        entries, out = publish(newly)
+        return {
+            **store,
+            "residual": Payload(tuple(red.residual), instance.n),
+            "cover": Payload(cover, len(cover)),
+            **entries,
+            "sampled_order": tuple(j for j, _ in pairs),
+        }, out
+
+    cluster.run_round(central_step, label=f"{tag}:central")
+    if "failed" in cluster.stores[0]:
+        cluster.fail(cluster.stores[0]["failed"])
+    return cluster.stores[0]["sampled_order"]
+
+
+def _final_cover(cluster: Cluster, instance: SetCoverInstance, what: str) -> Cover:
+    cover = Cover(set_ids=tuple(sorted(cluster.stores[0]["cover"].value)))
+    if not cover.covers(instance):
+        raise AssertionError(f"terminated with uncovered {what}")
+    return cover
+
+
+def _sc_f_attempt(instance: SetCoverInstance, cluster: Cluster):
+    _preload_elements(instance, cluster)
     u_size = instance.m
     iterations = 0
     u_series = [u_size]
     p_series: list[float] = []
     push_order: list[int] = []
 
+    def drop_step(mid, store, inbox, rng):
+        delta = store["c_new"].value
+        alive = store["alive"].value
+        table = store["elems"].value
+        if delta:
+            dset = set(delta)
+            alive = frozenset(j for j in alive if dset.isdisjoint(table[j]))
+        return {**store, "alive": Payload(alive, len(alive)), "usize": len(alive)}, []
+
     while u_size > 0:
         iterations += 1
         if iterations > 10_000:
             raise AssertionError("set-cover iteration guard tripped")
-        p = min(1.0, (2 * eta) / u_size)
-        p_series.append(p)
-
-        def sample_step(mid, store, inbox, rng, p=p):
-            alive = store["alive"].value
-            table = store["elems"].value
-            if p >= 1.0:
-                picked = sorted(alive)
-            else:
-                picked = sorted(j for j in alive if rng.random() < p)
-            payload = [(j, table[j]) for j in picked]
-            return store, ([(0, "sampled", payload)] if payload else [])
-
-        cluster.run_round(sample_step, label=f"sc[{iterations}]:sample")
-
-        def central_step(mid, store, inbox, rng):
-            if mid != 0:
-                return store, []
-            pairs = []
-            for _, key, value in inbox:
-                if key == "sampled":
-                    pairs.extend(value)
-            pairs.sort()
-            if len(pairs) > fail_at:
-                return {**store, "failed": f"|U'|={len(pairs)} > {fail_at}"}, []
-            red = CoverReduction(store["residual"].value)
-            newly: list[int] = []
-            for j, t in pairs:
-                newly.extend(red.process_element(t))
-            newly = sorted(set(newly))
-            cover = store["cover"].value + tuple(newly)
-            return {
-                **store,
-                "residual": Payload(tuple(red.residual), instance.n),
-                "cover": Payload(cover, len(cover)),
-                "c_new": tuple(newly),
-                "sampled_order": tuple(j for j, _ in pairs),
-            }, []
-
-        cluster.run_round(central_step, label=f"sc[{iterations}]:central")
-        central = cluster.stores[0]
-        if "failed" in central:
-            cluster.mark_failure(central["failed"])
-            raise WhpFailure(central["failed"])
-        c_new = central["c_new"]
-        push_order.extend(central["sampled_order"])
-
-        cluster.broadcast("c_new", c_new, label=f"sc[{iterations}]:bcast")
-
-        def drop_step(mid, store, inbox, rng):
-            delta = store["c_new"]
-            if isinstance(delta, Payload):
-                delta = delta.value
-            alive = store["alive"].value
-            table = store["elems"].value
-            if delta:
-                dset = set(delta)
-                alive = frozenset(j for j in alive if dset.isdisjoint(table[j]))
-            return {**store, "alive": Payload(alive, len(alive)), "usize": len(alive)}, []
-
-        cluster.run_round(drop_step, label=f"sc[{iterations}]:drop")
-        u_size, _ = cluster.aggregate_and_broadcast("usize", lambda a, b: a + b, label=f"sc[{iterations}]:count")
+        tag = f"sc[{iterations}]"
+        p_series.append(_sample_round(cluster, u_size, tag))
+        push_order.extend(_central_round(cluster, instance, tag, lambda newly: ({"c_new": tuple(newly)}, [])))
+        cluster.broadcast("c_new", cluster.stores[0]["c_new"], label=f"{tag}:bcast")
+        cluster.run_round(drop_step, label=f"{tag}:drop")
+        u_size, _ = cluster.aggregate_and_broadcast("usize", lambda a, b: a + b, label=f"{tag}:count")
         u_series.append(u_size)
 
-    cover = Cover(set_ids=tuple(sorted(cluster.stores[0]["cover"].value)))
-    if not cover.covers(instance):
-        raise AssertionError("terminated with uncovered elements")
     extras = {
         "u_series": u_series,
         "p_series": p_series,
         "element_order": push_order,
     }
-    return cover, iterations, extras
-
-
-def vc_config(graph: Graph, mu="1/5", seed: int = 0, **overrides) -> ClusterConfig:
-    return _sc_config(graph.n, graph.m, 2, mu, seed, overrides.pop("eta", None), **overrides)
+    return _final_cover(cluster, instance, "elements"), iterations, extras
 
 
 def vertex_cover_2approx(
@@ -199,109 +183,53 @@ def vertex_cover_2approx(
     single bit and the vertex forwards it to its incident edges.
     """
     instance = vertex_cover_encoding(graph, vertex_weights)
-    cfg = config or vc_config(graph, **kw)
-    return run_with_retries(cfg, lambda cluster: _vc_attempt(graph, instance, cluster))
+    cfg = config or cluster_config(graph.n, graph.m, _cover_budget(graph.m, 2), **kw)
+    return run_with_retries(cfg, lambda cluster: _vc_attempt(instance, cluster))
 
 
-def _vc_attempt(graph: Graph, instance: SetCoverInstance, cluster: Cluster):
+def _vc_attempt(instance: SetCoverInstance, cluster: Cluster):
     cfg = cluster.config
     m_count = cfg.machine_count
-    eta = cfg.eta
-    fail_at = 2 * cfg.fail_multiplier * eta
     place_rng = Random(derive_seed(cfg.seed, -1, 0))
     set_home = [place_rng.randrange(m_count) for _ in range(instance.n)]
 
-    elem_home = [j % m_count for j in range(instance.m)]
-    shards = [[] for _ in range(m_count)]
-    for j in range(instance.m):
-        shards[elem_home[j]].append(j)
+    _preload_elements(instance, cluster)
     for mid in range(m_count):
-        table = {j: instance.dual[j] for j in shards[mid]}
-        size = sum(1 + len(t) for t in table.values())
-        cluster.preload(mid, "elems", Payload(table, size))
-        cluster.preload(mid, "alive", Payload(frozenset(shards[mid]), len(shards[mid])))
-        cluster.preload(mid, "usize", instance.m)
         sets_here = {i: instance.sets[i] for i in range(instance.n) if set_home[i] == mid}
         cluster.preload(mid, "vsets", Payload(sets_here, sum(1 + len(s) for s in sets_here.values())))
-    cluster.preload(0, "residual", Payload(tuple(instance.weights), instance.n))
-    cluster.preload(0, "cover", Payload((), 0))
 
     u_size = instance.m
     iterations = 0
     u_series = [u_size]
     element_order: list[int] = []
 
+    def in_cover(newly):
+        return {}, [(set_home[i], "in-cover", i) for i in newly]
+
+    def forward_step(mid, store, inbox, rng):
+        vsets = store["vsets"].value
+        out = []
+        for i in gather(inbox, "in-cover"):
+            for e in vsets[i]:
+                out.append((e % m_count, "covered", e))
+        return store, out
+
+    def drop_step(mid, store, inbox, rng):
+        dropped = set(gather(inbox, "covered"))
+        alive = store["alive"].value
+        if dropped:
+            alive = frozenset(j for j in alive if j not in dropped)
+        return {**store, "alive": Payload(alive, len(alive)), "usize": len(alive)}, []
+
     while u_size > 0:
         iterations += 1
-        p = min(1.0, (2 * eta) / u_size)
-
-        def sample_step(mid, store, inbox, rng, p=p):
-            alive = store["alive"].value
-            table = store["elems"].value
-            if p >= 1.0:
-                picked = sorted(alive)
-            else:
-                picked = sorted(j for j in alive if rng.random() < p)
-            payload = [(j, table[j]) for j in picked]
-            return store, ([(0, "sampled", payload)] if payload else [])
-
-        cluster.run_round(sample_step, label=f"vc[{iterations}]:sample")
-
-        def central_step(mid, store, inbox, rng):
-            if mid != 0:
-                return store, []
-            pairs = []
-            for _, key, value in inbox:
-                if key == "sampled":
-                    pairs.extend(value)
-            pairs.sort()
-            if len(pairs) > fail_at:
-                return {**store, "failed": f"|U'|={len(pairs)} > {fail_at}"}, []
-            red = CoverReduction(store["residual"].value)
-            newly: list[int] = []
-            for j, t in pairs:
-                newly.extend(red.process_element(t))
-            newly = sorted(set(newly))
-            cover = store["cover"].value + tuple(newly)
-            out = [(set_home[i], "in-cover", i) for i in newly]
-            return {
-                **store,
-                "residual": Payload(tuple(red.residual), instance.n),
-                "cover": Payload(cover, len(cover)),
-                "sampled_order": tuple(j for j, _ in pairs),
-            }, out
-
-        cluster.run_round(central_step, label=f"vc[{iterations}]:central")
-        central = cluster.stores[0]
-        if "failed" in central:
-            cluster.mark_failure(central["failed"])
-            raise WhpFailure(central["failed"])
-        element_order.extend(central["sampled_order"])
-
-        def forward_step(mid, store, inbox, rng):
-            vsets = store["vsets"].value
-            out = []
-            for _, key, i in inbox:
-                if key == "in-cover":
-                    for e in vsets[i]:
-                        out.append((elem_home[e], "covered", e))
-            return store, out
-
-        cluster.run_round(forward_step, label=f"vc[{iterations}]:forward")
-
-        def drop_step(mid, store, inbox, rng):
-            dropped = {e for _, key, e in inbox if key == "covered"}
-            alive = store["alive"].value
-            if dropped:
-                alive = frozenset(j for j in alive if j not in dropped)
-            return {**store, "alive": Payload(alive, len(alive)), "usize": len(alive)}, []
-
-        cluster.run_round(drop_step, label=f"vc[{iterations}]:drop")
-        u_size, _ = cluster.aggregate_and_broadcast("usize", lambda a, b: a + b, label=f"vc[{iterations}]:count")
+        tag = f"vc[{iterations}]"
+        _sample_round(cluster, u_size, tag)
+        element_order.extend(_central_round(cluster, instance, tag, in_cover))
+        cluster.run_round(forward_step, label=f"{tag}:forward")
+        cluster.run_round(drop_step, label=f"{tag}:drop")
+        u_size, _ = cluster.aggregate_and_broadcast("usize", lambda a, b: a + b, label=f"{tag}:count")
         u_series.append(u_size)
 
-    cover = Cover(set_ids=tuple(sorted(cluster.stores[0]["cover"].value)))
-    if not cover.covers(instance):
-        raise AssertionError("terminated with uncovered edges")
     extras = {"u_series": u_series, "element_order": element_order}
-    return cover, iterations, extras
+    return _final_cover(cluster, instance, "edges"), iterations, extras

@@ -16,7 +16,7 @@ from conftest import random_graph
 from mpcgraph import cli
 from mpcgraph.colouring import edge_colouring, vertex_colouring, whp_colour_bound
 from mpcgraph.exactmath import harmonic
-from mpcgraph.hungry import hg_config, maximal_clique, mis_fast, mis_simple
+from mpcgraph.hungry import maximal_clique, mis_fast, mis_simple
 from mpcgraph.instances import (
     generate_graph,
     generate_set_cover,
@@ -239,8 +239,8 @@ def test_criterion_9_memory_model_soundness():
     n = 512
     pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], int(0.4 * n * n))
     g = make_graph(n, [(u, v, 1) for u, v in pairs])
-    cfg = hg_config(g, mu="1/5", seed=9)
     res = maximal_clique(g, mu="1/5", seed=9)
+    cfg = res.cluster.config
     audit(res)
     dense_ok = (
         cfg.memory_budget_words < n * n

@@ -134,6 +134,60 @@ def test_bad_rational_option_exit_code(tmp_path, capsys, flag, value):
     assert code == 3 and "--epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", sorted(cli.ALGORITHMS))
+def test_eta_zero_is_rejected(tmp_path, capsys, alg):
+    # Before: match-2 silently ran with the default eta, sc-f crashed with a
+    # ValueError traceback.
+    path = tmp_path / "in"
+    kind = ["setcover", "--m", "6", "--density", "0.5"] if alg in ("sc-f", "sc-lnD") else ["graph", "--c", "1/3"]
+    run_cli(capsys, "generate", kind[0], str(path), "--n", "6", *kind[1:], "--seed", "1")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", alg, str(path), "--eta", "0", "--epsilon", "1/10"])
+    assert exc.value.code == 3 and "--eta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["run", "colour-v", "g", "--kappa", "0"], "--kappa"),
+        (["run", "match-2", "g", "--retries", "-1"], "--retries"),
+        (["bench", "match-2", "g", "--eta", "0"], "--eta"),
+        (["bench", "match-2", "g", "--retries", "-1"], "--retries"),
+        (["run", "match-2", "g", "--seed", "abc"], "--seed"),
+        (["generate", "graph", "g", "--n", "4", "--c", "abc"], "--c"),
+    ],
+)
+def test_usage_errors_exit_3(capsys, argv, flag):
+    # Exit 2 is reserved for retries exhausted.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3 and flag in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0 and "--eta" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["a b\n", "2 1\n0 1 1/0\n", "2 1\n0 x 1\n"])
+def test_malformed_graph_file_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert cli.main(["run", "match-2", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["abc", "1/0"])
+def test_malformed_vertex_weights_exit_code(tmp_path, capsys, line):
+    path = tmp_path / "g.graph"
+    path.write_text("3 2\n0 1 1\n1 2 1\n")
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"1\n{line}\n1\n")
+    assert cli.main(["run", "vc-2", str(path), "--vertex-weights", str(weights)]) == 3
+    assert str(weights) in capsys.readouterr().err
+
+
 def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     sc = tmp_path / "i.sc"
     run_cli(capsys, "generate", "setcover", str(sc), "--n", "8", "--m", "60", "--density", "0.4", "--seed", "2")

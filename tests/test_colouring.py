@@ -5,7 +5,6 @@ import pytest
 
 from conftest import random_graph
 from mpcgraph.colouring import (
-    colour_config,
     default_kappa,
     edge_colouring,
     vertex_colouring,
@@ -98,7 +97,7 @@ def test_whp_bound_evaluator():
 
 def test_default_kappa_degenerate():
     g = make_graph(4, [(0, 1, 1)])
-    cfg = colour_config(g, mu="1/2", c="1/4", seed=0)
+    cfg = vertex_colouring(g, mu="1/2", c="1/4", seed=0).cluster.config
     assert default_kappa(cfg) == 1  # c <= mu collapses to one group
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from mpcgraph.engine import (
     Cluster,
-    ClusterConfig,
     MemoryExceeded,
     OversizedMessage,
     Payload,
     RetriesExhausted,
     WhpFailure,
+    cluster_config,
     derive_seed,
     run_with_retries,
     store_words,
@@ -26,8 +26,8 @@ def idle(mid, store, inbox, rng):
 
 
 def cfg(machines, budget=10_000, fanout=2, seed=1, **kw):
-    return ClusterConfig.derive(
-        4, "1/5", seed=seed, machine_count=machines, memory_budget_words=budget, fanout=fanout, **kw
+    return cluster_config(
+        4, 0, None, mu="1/5", seed=seed, machine_count=machines, memory_budget_words=budget, fanout=fanout, **kw
     )
 
 

@@ -1,7 +1,7 @@
 from random import Random
 
 from conftest import random_graph
-from mpcgraph.hungry import hg_config, maximal_clique, mis_fast, mis_simple, relabel_active
+from mpcgraph.hungry import maximal_clique, mis_fast, mis_simple
 from mpcgraph.instances import generate_graph, make_graph
 from mpcgraph.oracles import is_maximal_clique, is_maximal_independent_set
 
@@ -121,21 +121,11 @@ def test_clique_never_materializes_complement():
     n = 512
     pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], int(0.4 * n * n))
     g = make_graph(n, [(u, v, 1) for u, v in pairs])
-    cfg = hg_config(g, mu="1/5", seed=7)
-    assert cfg.memory_budget_words < n * n
     res = maximal_clique(g, mu="1/5", seed=7)
+    cfg = res.cluster.config
+    assert cfg.memory_budget_words < n * n
     assert res.cluster.peak_words() <= cfg.memory_budget_words
     assert is_maximal_clique(g, res.value)
-
-
-def test_relabel_active_examples():
-    sigma, k = relabel_active({0, 1, 2}, 3)
-    assert k == 3 and [sigma[v] for v in (0, 1, 2)] == [1, 2, 3]
-    sigma, k = relabel_active(set(), 2)
-    assert k == 0 and sorted(sigma.values()) == [1, 2]
-    sigma, k = relabel_active({5, 2}, 6)
-    assert k == 2 and sigma[2] == 1 and sigma[5] == 2
-    assert sorted(sigma[v] for v in (0, 1, 3, 4)) == [3, 4, 5, 6]
 
 
 def test_mis_rounds_counted():

@@ -153,6 +153,14 @@ def test_bad_files_rejected():
         graph_from_text("2 2\n0 1 1\n")
     with pytest.raises(MalformedInstance):
         set_cover_from_text("1 2\n1 3 0 1\n")
+    # Numbers that do not parse are malformed input too, not a bare
+    # ValueError or ZeroDivisionError.
+    for text in ("a b\n", "2 1\n0 1 1/0\n", "2 1\n0 x 1\n"):
+        with pytest.raises(MalformedInstance):
+            graph_from_text(text)
+    for text in ("a b\n", "1 2\n1/0 2 0 1\n", "1 2\n1 2 0 y\n"):
+        with pytest.raises(MalformedInstance):
+            set_cover_from_text(text)
 
 
 def test_vertex_cover_encoding():

@@ -11,7 +11,6 @@ from mpcgraph.parallel_setcover import (
     approx_sc_lnDelta,
     potential_phi,
     preprocess_weights,
-    psc_config,
 )
 
 
@@ -185,6 +184,6 @@ def test_preprocess_weight_ratio_invariant():
 
 def test_psc_config_scale_is_ground_set():
     inst = generate_set_cover(50, 16, 0.3, (1, 5), seed=1)
-    cfg = psc_config(inst, mu="1/5", seed=0)
+    cfg = approx_sc_lnDelta(inst, Fraction(1, 10), mu="1/5", seed=0).cluster.config
     assert cfg.n == 16  # scale parameter is m
     assert cfg.fanout >= 2

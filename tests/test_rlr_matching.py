@@ -7,7 +7,7 @@ from conftest import random_graph
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
 from mpcgraph.oracles import brute_force, lr_bmatching_seq, lr_matching_seq
-from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching, match_config
+from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching
 
 
 def test_p3_every_seed_gives_opt():
@@ -184,7 +184,7 @@ def test_per_vertex_capacities():
 
 def test_match_config_defaults():
     g = generate_graph(64, "1/2", (1, 5), seed=1)
-    cfg = match_config(g, mu="1/4", seed=0)
+    cfg = approx_max_matching(g, mu="1/4", seed=0).cluster.config
     assert cfg.eta == ipow_floor(64, Fraction(5, 4))
     assert cfg.machine_count == -(-g.m // cfg.eta)
     assert cfg.fanout >= 2

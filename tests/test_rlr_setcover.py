@@ -12,7 +12,7 @@ from mpcgraph.instances import (
     vertex_cover_encoding,
 )
 from mpcgraph.oracles import brute_force, lr_set_cover_seq
-from mpcgraph.rlr_setcover import approx_sc_f, sc_config, vertex_cover_2approx
+from mpcgraph.rlr_setcover import approx_sc_f, vertex_cover_2approx
 
 
 def test_p1_branch_matches_sequential():
@@ -95,7 +95,7 @@ def test_fail_multiplier_and_retries():
 
 def test_config_budget_enforces_f_scaling():
     inst = generate_set_cover(30, 200, 0.1, (1, 5), seed=2)
-    cfg = sc_config(inst, mu="1/5", seed=0)
+    cfg = approx_sc_f(inst, mu="1/5", seed=0).cluster.config
     assert cfg.memory_budget_words >= inst.frequency * cfg.eta
 
 
@@ -157,8 +157,8 @@ def test_star_encoding_through_generic_sc_f():
 
 def test_strict_mpc_flag_tightens_budget():
     inst = generate_set_cover(30, 200, 0.1, (1, 5), seed=2)
-    loose = sc_config(inst, mu="1/5", seed=0)
-    strict = sc_config(inst, mu="1/5", seed=0, strict_mpc=True)
+    loose = approx_sc_f(inst, mu="1/5", seed=0).cluster.config
+    strict = approx_sc_f(inst, mu="1/5", seed=0, strict_mpc=True).cluster.config
     assert strict.strict_mpc and strict.memory_budget_words < loose.memory_budget_words
 
 
