@@ -32,9 +32,9 @@ from .instances import (
     digest,
     generate_graph,
     generate_set_cover,
-    graph_from_text,
     malformed_numbers,
-    set_cover_from_text,
+    read_graph,
+    read_set_cover,
     validate,
     validate_b_matching,
     vertex_cover_encoding,
@@ -44,7 +44,7 @@ from .instances import (
 
 # Not called here: perfbench/spans.py times these names in this module's
 # namespace, so they stay importable from it.
-from .instances import graph_to_text, read_graph, read_set_cover, set_cover_to_text  # noqa: F401
+from .instances import graph_to_text, set_cover_to_text  # noqa: F401
 from .oracles import (
     brute_force,
     eps_greedy_bound,
@@ -305,11 +305,8 @@ def _vertex_weights(path):
 
 
 def _load_instance(problem: Problem, path: str):
-    """Read the instance file once: returns the parsed instance and its text."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    parse = graph_from_text if problem.graph_input else set_cover_from_text
-    return parse(text), text
+    """Parse the instance file (through the names perfbench/spans.py times)."""
+    return (read_graph if problem.graph_input else read_set_cover)(path)
 
 
 def solution_to_text(algorithm: str, value, instance, aux) -> str:
@@ -336,8 +333,10 @@ def solution_from_text(text: str):
     head = rows[0].split()
     kind = head[0]
     if kind == "matching":
-        ids = [int(x) for x in rows[2:]]
-        return ("matching", tuple(ids))
+        stated = rows[1].split() if len(rows) > 1 else []
+        if len(stated) != 2 or stated[0] != "weight":
+            raise MalformedInstance("matching solution needs a 'weight <w>' line")
+        return ("matching", (Fraction(stated[1]), tuple(int(x) for x in rows[2:])))
     if kind == "cover":
         return ("cover", tuple(int(x) for x in rows[1:]))
     if kind in ("mis", "clique"):
@@ -375,8 +374,9 @@ def cmd_run(args) -> int:
         raise MalformedInstance("run needs an algorithm and an instance path")
     spec = ALGORITHMS[args.algorithm]
     problem = spec.problem
-    instance, text = _load_instance(problem, args.instance)
-    inst_digest = digest(text)
+    instance = _load_instance(problem, args.instance)
+    with open(args.instance, "r", encoding="ascii") as fh:
+        inst_digest = digest(fh.read())
     common = _common(args)
     aux = problem.aux(args)
     try:
@@ -426,25 +426,31 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     spec = ALGORITHMS[args.algorithm]
     problem = spec.problem
-    instance, _ = _load_instance(problem, args.instance)
+    instance = _load_instance(problem, args.instance)
     with open(args.solution, "r", encoding="ascii") as fh:
-        kind, payload = solution_from_text(fh.read())
+        text = fh.read()
+    with malformed_numbers(args.solution):
+        kind, payload = solution_from_text(text)
     epsilon = _rational(args.epsilon, "--epsilon")
     feasible = False
     objective = None
     if kind == "matching":
+        stated, ids = payload
         loads = [0] * instance.n
-        for e in payload:
+        for e in ids:
             if not (0 <= e < instance.m):
                 print(f"FAIL malformed: edge id {e} out of range")
                 return 3
             u, v = instance.endpoints(e)
             loads[u] += 1
             loads[v] += 1
-        sol = Matching(edge_ids=tuple(sorted(payload)), loads=tuple(loads))
+        sol = Matching(edge_ids=tuple(sorted(ids)), loads=tuple(loads))
         rep = validate_b_matching(sol, instance, args.b) if args.algorithm == "bmatch" else validate(sol, instance)
         feasible, objective = rep.feasible, rep.objective
         print(rep)
+        if feasible and objective != stated:
+            print(f"FAIL malformed: weight line {frac_str(stated)} != recomputed {frac_str(objective)}")
+            return 3
     elif kind == "cover":
         sol = Cover(set_ids=payload)
         if args.algorithm == "vc-2":
@@ -495,7 +501,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     spec = ALGORITHMS[args.algorithm]
     problem = spec.problem
-    instance, _ = _load_instance(problem, args.instance)
+    instance = _load_instance(problem, args.instance)
     aux = problem.aux(args)
     try:
         opt = problem.oracle(instance, aux)

@@ -83,12 +83,20 @@ class Graph:
 
 
 def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
-    """Build a Graph from (u, v, w) triples, validating all invariants."""
+    """Build a Graph from (u, v, w) triples, validating all invariants.
+
+    Weights repeat: each distinct weight object becomes one Fraction, whose
+    sign is tested once.  The memo is keyed on the object's id (hashing a
+    Fraction costs more than building one) and holds the object, so no
+    other object can take that id while the memo lives.
+    """
     if n < 0:
         raise MalformedInstance("vertex count must be non-negative")
     edges = []
+    adjacency = [[] for _ in range(n)]
     seen = set()
-    for item in edge_list:
+    memo = {}
+    for eid, item in enumerate(edge_list):
         u, v, w = item
         if not (0 <= u < n and 0 <= v < n):
             raise MalformedInstance(f"endpoint out of range in edge {item}")
@@ -96,18 +104,20 @@ def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
             raise MalformedInstance(f"self-loop at vertex {u}")
         if u > v:
             u, v = v, u
-        if (u, v) in seen:
+        pair = u * n + v
+        if pair in seen:
             raise MalformedInstance(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v, _freeze_weight(w)))
-    adjacency = [[] for _ in range(n)]
-    for eid, (u, v, _) in enumerate(edges):
+        seen.add(pair)
+        hit = memo.get(id(w))
+        if hit is None:
+            hit = memo[id(w)] = (w, _freeze_weight(w))
         adjacency[u].append(eid)
         adjacency[v].append(eid)
+        edges.append((u, v, hit[1]))
     return Graph(
         n=n,
         edges=tuple(edges),
-        adjacency=tuple(tuple(a) for a in adjacency),
+        adjacency=tuple(map(tuple, adjacency)),
     )
 
 
@@ -150,32 +160,42 @@ class SetCoverInstance:
 
 
 def make_set_cover(n: int, m: int, sets: Sequence[Iterable[int]], weights: Sequence) -> SetCoverInstance:
+    """Build a SetCoverInstance, validating all invariants.
+
+    Each set is sorted once: its range is checked at its two ends, its
+    duplicates by one set() call, and one pass fills the dual view.
+    Weights are frozen as in make_graph: one Fraction and one sign test
+    per distinct weight object.
+    """
     if len(sets) != n or len(weights) != n:
         raise MalformedInstance("set/weight counts disagree with n")
     frozen_sets = []
+    dual = [[] for _ in range(m)]
     for i, s in enumerate(sets):
         elems = sorted(s)
-        if any(not (0 <= j < m) for j in elems):
+        if elems and not (0 <= elems[0] and elems[-1] < m):
             raise MalformedInstance(f"set {i} has an element outside [0, {m})")
         if len(set(elems)) != len(elems):
             raise MalformedInstance(f"set {i} has duplicate elements")
-        frozen_sets.append(tuple(elems))
-    frozen_weights = []
-    for i, w in enumerate(weights):
-        w = Fraction(w)
-        if w <= 0:
-            raise MalformedInstance(f"set {i} has non-positive weight {w}")
-        frozen_weights.append(w)
-    dual = [[] for _ in range(m)]
-    for i, elems in enumerate(frozen_sets):
         for j in elems:
             dual[j].append(i)
+        frozen_sets.append(tuple(elems))
+    frozen_weights = []
+    memo = {}
+    for i, w in enumerate(weights):
+        hit = memo.get(id(w))
+        if hit is None:
+            f = Fraction(w)
+            if f <= 0:
+                raise MalformedInstance(f"set {i} has non-positive weight {f}")
+            hit = memo[id(w)] = (w, f)
+        frozen_weights.append(hit[1])
     return SetCoverInstance(
         n=n,
         m=m,
         sets=tuple(frozen_sets),
         weights=tuple(frozen_weights),
-        dual=tuple(tuple(t) for t in dual),
+        dual=tuple(map(tuple, dual)),
     )
 
 
@@ -291,9 +311,13 @@ def validate_b_matching(sol: Matching, graph: Graph, b) -> ValidationReport:
 
 def _validate_loads(sol: Matching, graph: Graph, caps: list[int], kind: str, overload: str) -> ValidationReport:
     loads = [0] * graph.n
+    seen = set()
     for eid in sol.edge_ids:
         if not (0 <= eid < graph.m):
             return ValidationReport(kind, False, None, f"malformed: edge id {eid} out of range")
+        if eid in seen:
+            return ValidationReport(kind, False, None, f"malformed: duplicate edge id {eid}")
+        seen.add(eid)
         u, v = graph.endpoints(eid)
         loads[u] += 1
         loads[v] += 1
@@ -368,8 +392,14 @@ def generate_graph(n: int, target_c, weight_range: tuple[int, int], seed: int) -
     rng = Random(seed)
     picks = rng.sample(range(complete), quota)
     pairs = sorted(_unrank_pair(i) for i in picks)
-    edges = [(u, v, Fraction(rng.randint(lo, hi))) for u, v in pairs]
-    return make_graph(n, edges)
+    draws = [rng.randint(lo, hi) for _ in pairs]
+    return make_graph(n, [(u, v, w) for (u, v), w in zip(pairs, _shared_fractions(draws))])
+
+
+def _shared_fractions(draws: list[int]) -> list[Fraction]:
+    """The draws as Fractions, one object per distinct value."""
+    shared = {w: Fraction(w) for w in set(draws)}
+    return [shared[w] for w in draws]
 
 
 def _binomial(rng: Random, trials: int, p: float) -> int:
@@ -407,7 +437,7 @@ def generate_set_cover(
         k = _binomial(rng, m, density)
         members = rng.sample(range(m), k) if k else []
         sets.append(set(members))
-    weights = [Fraction(rng.randint(lo, hi)) for _ in range(n)]
+    weights = _shared_fractions([rng.randint(lo, hi) for _ in range(n)])
     covered = set()
     for s in sets:
         covered.update(s)
@@ -451,10 +481,16 @@ def _parse_weight(tok: str) -> Fraction:
     return Fraction(int(tok))
 
 
+def _rendered(weights: Iterable[Fraction]) -> dict[int, str]:
+    """frac_str of each distinct weight object, keyed on its id (the
+    instance holding the weights keeps those ids unique)."""
+    return {key: frac_str(w) for key, w in {id(w): w for w in weights}.items()}
+
+
 def graph_to_text(graph: Graph) -> str:
+    text = _rendered(w for _, _, w in graph.edges)
     lines = [f"{graph.n} {graph.m}"]
-    for u, v, w in graph.edges:
-        lines.append(f"{u} {v} {frac_str(w)}")
+    lines += [f"{u} {v} {text[id(w)]}" for u, v, w in graph.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -470,19 +506,25 @@ def graph_from_text(text: str) -> Graph:
         if len(rows) - 1 != m:
             raise MalformedInstance(f"expected {m} edge lines, found {len(rows) - 1}")
         edges = []
+        parsed = {}  # one Fraction per distinct weight token
         for ln in rows[1:]:
             parts = ln.split()
             if len(parts) != 3:
                 raise MalformedInstance(f"bad edge line: {ln!r}")
-            edges.append((int(parts[0]), int(parts[1]), _parse_weight(parts[2])))
+            u, v, tok = parts
+            w = parsed.get(tok)
+            if w is None:
+                w = parsed[tok] = _parse_weight(tok)
+            edges.append((int(u), int(v), w))
     return make_graph(n, edges)
 
 
 def set_cover_to_text(instance: SetCoverInstance) -> str:
+    text = _rendered(instance.weights)
     lines = [f"{instance.n} {instance.m}"]
     for elems, w in zip(instance.sets, instance.weights):
-        body = " ".join(str(e) for e in elems)
-        lines.append(f"{frac_str(w)} {len(elems)}" + (f" {body}" if body else ""))
+        body = " ".join(map(str, elems))
+        lines.append(f"{text[id(w)]} {len(elems)}" + (f" {body}" if body else ""))
     return "\n".join(lines) + "\n"
 
 
@@ -498,13 +540,16 @@ def set_cover_from_text(text: str) -> SetCoverInstance:
         if len(rows) - 1 != n:
             raise MalformedInstance(f"expected {n} set lines, found {len(rows) - 1}")
         sets, weights = [], []
+        parsed = {}  # one Fraction per distinct weight token
         for ln in rows[1:]:
             parts = ln.split()
             if len(parts) < 2:
                 raise MalformedInstance(f"bad set line: {ln!r}")
-            w = _parse_weight(parts[0])
+            w = parsed.get(parts[0])
+            if w is None:
+                w = parsed[parts[0]] = _parse_weight(parts[0])
             k = int(parts[1])
-            elems = [int(p) for p in parts[2:]]
+            elems = list(map(int, parts[2:]))
             if len(elems) != k:
                 raise MalformedInstance(f"set line announces {k} elements, has {len(elems)}")
             sets.append(elems)

@@ -36,11 +36,10 @@ from .oracles import MatchingReduction
 EDGE_WORDS = 4  # (eid, u, v, w) message record
 
 
-def _scaled_weights(graph: Graph) -> tuple[list[int], int]:
-    scale = 1
-    for _, _, w in graph.edges:
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    return [int(w * scale) for _, _, w in graph.edges], scale
+def _scaled_weights(graph: Graph) -> list[int]:
+    """Edge weights times the lcm of their denominators, as exact ints."""
+    scale = math.lcm(*{w.denominator for _, _, w in graph.edges})
+    return [w.numerator * (scale // w.denominator) for _, _, w in graph.edges]
 
 
 def approx_max_matching(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
@@ -58,7 +57,7 @@ def approx_max_matching(graph: Graph, config: ClusterConfig | None = None, **kw)
         return k * (4 * EDGE_WORDS + 2) * cfg.eta + 4 * graph.n + 4 * graph.m
 
     cfg = config or cluster_config(max(2, graph.n), graph.m, budget, **kw)
-    intw, _ = _scaled_weights(graph)
+    intw = _scaled_weights(graph)
     return run_with_retries(cfg, lambda cluster: _matching_attempt(graph, intw, cluster))
 
 

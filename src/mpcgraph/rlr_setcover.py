@@ -223,6 +223,8 @@ def _vc_attempt(instance: SetCoverInstance, cluster: Cluster):
 
     while u_size > 0:
         iterations += 1
+        if iterations > 10_000:
+            raise AssertionError("vertex-cover iteration guard tripped")
         tag = f"vc[{iterations}]"
         _sample_round(cluster, u_size, tag)
         element_order.extend(_central_round(cluster, instance, tag, in_cover))

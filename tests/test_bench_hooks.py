@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import spans  # noqa: E402
@@ -50,6 +52,21 @@ print(json.dumps({"metrics": tracer.metrics(), "steps": sorted(step_modules)}))
 """
 
 
+READ_CHILD = """
+import json, sys
+import spans
+from mpcgraph import cli
+
+tracer = spans.Tracer()
+tracer.install()
+work, kind, alg = sys.argv[1:]
+sizes = ["--n", "24", "--c", "1/2"] if kind == "graph" else ["--n", "20", "--m", "16", "--density", "0.2"]
+cli.main(["generate", kind, work + "/i", *sizes, "--seed", "3"])
+cli.main(["run", alg, work + "/i", "--seed", "1"])
+print(json.dumps(tracer.metrics()))
+"""
+
+
 def test_every_patched_name_resolves():
     cli = importlib.import_module("mpcgraph.cli")
     for name in spans.CLI_CALLS:
@@ -78,3 +95,18 @@ def test_traced_runs_charge_every_algorithm_and_step_module(tmp_path):
     # may run steps that belong to the engine module.
     engine_steps = [label for label, module in out["steps"] if module == "mpcgraph.engine"]
     assert engine_steps and all(re.search(r"\[\d+/\d+\]$", label) for label in engine_steps), engine_steps
+
+
+@pytest.mark.parametrize("kind,alg", [("graph", "mis-fast"), ("setcover", "sc-f")])
+def test_run_charges_parsing_to_instances_read(tmp_path, kind, alg):
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'perfbench'}"}
+    proc = subprocess.run(
+        [sys.executable, "-c", READ_CHILD, str(tmp_path), kind, alg],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        check=True,
+    )
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert metrics["instances.read_s"] > 0

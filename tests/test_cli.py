@@ -103,6 +103,30 @@ def test_verify_infeasible_solution(tmp_path, capsys):
     assert code == 3 and "FAIL infeasible" in out
 
 
+def test_verify_rejects_a_repeated_matching_edge(tmp_path, capsys):
+    path = tmp_path / "p3.graph"
+    path.write_text("3 2\n0 1 5\n1 2 1\n")
+    sol = tmp_path / "m.sol"
+    argv = ["verify", str(path), str(sol), "--algorithm", "bmatch", "--b", "2", "--against-oracle"]
+    sol.write_text("matching\nweight 5\n0\n")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and "PASS" in out
+    # Edge 0 twice: objective 10 against OPT 6 used to PASS.
+    sol.write_text("matching\nweight 10\n0\n0\n")
+    code, out = run_cli(capsys, *argv)
+    assert code == 3 and "malformed: duplicate edge id 0" in out and "PASS" not in out
+
+
+@pytest.mark.parametrize("text", ["matching\nweight 7\n0\n", "matching\n0\n", "matching\nweight x\n0\n"])
+def test_verify_checks_the_weight_line(tmp_path, capsys, text):
+    path = tmp_path / "p3.graph"
+    path.write_text("3 2\n0 1 5\n1 2 1\n")
+    sol = tmp_path / "m.sol"
+    sol.write_text(text)
+    code, out = run_cli(capsys, "verify", str(path), str(sol), "--algorithm", "match-2")
+    assert code == 3 and "PASS" not in out
+
+
 def test_verify_oracle_too_large(tmp_path, capsys):
     path = tmp_path / "big.graph"
     run_cli(capsys, "generate", "graph", str(path), "--n", "40", "--c", "2/5", "--seed", "1")

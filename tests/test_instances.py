@@ -2,10 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpcgraph.instances import (
     Cover,
+    Graph,
     MalformedInstance,
+    SetCoverInstance,
     Matching,
     digest,
     generate_graph,
@@ -15,6 +19,7 @@ from mpcgraph.instances import (
     make_graph,
     make_matching,
     make_set_cover,
+    malformed_numbers,
     set_cover_from_text,
     set_cover_to_text,
     validate,
@@ -127,6 +132,9 @@ def test_validate_examples():
     malformed = Matching(edge_ids=(9,), loads=(0, 0, 0))
     rep = validate(malformed, tri)
     assert not rep.feasible and "malformed" in rep.detail
+    twice = Matching(edge_ids=(0, 0), loads=(2, 2, 0))
+    rep = validate(twice, tri)
+    assert not rep.feasible and "duplicate edge id 0" in rep.detail
 
 
 def test_graph_file_round_trip(tmp_path):
@@ -181,3 +189,257 @@ def test_adjacency_cross_check():
             rebuilt[u].append(eid)
             rebuilt[v].append(eid)
         assert tuple(tuple(a) for a in rebuilt) == g.adjacency
+
+
+# ---------------------------------------------------------------------------
+# The builders against a naive reference: one Fraction(...) per item,
+# tuple-keyed dedupe, adjacency and dual views in separate passes, the same
+# checks in the same order.
+
+
+def naive_graph(n, triples):
+    if n < 0:
+        raise MalformedInstance("vertex count must be non-negative")
+    edges, seen = [], set()
+    for item in triples:
+        u, v, w = item
+        if not (0 <= u < n and 0 <= v < n):
+            raise MalformedInstance(f"endpoint out of range in edge {item}")
+        if u == v:
+            raise MalformedInstance(f"self-loop at vertex {u}")
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen:
+            raise MalformedInstance(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        w = Fraction(w)
+        if w < 0:
+            raise MalformedInstance(f"negative weight {w}")
+        edges.append((u, v, w))
+    adjacency = tuple(tuple(eid for eid, (a, b, _) in enumerate(edges) if x in (a, b)) for x in range(n))
+    return Graph(n, tuple(edges), adjacency)
+
+
+def naive_set_cover(n, m, sets, weights):
+    if len(sets) != n or len(weights) != n:
+        raise MalformedInstance("set/weight counts disagree with n")
+    frozen = []
+    for i, s in enumerate(sets):
+        elems = sorted(s)
+        if any(not (0 <= j < m) for j in elems):
+            raise MalformedInstance(f"set {i} has an element outside [0, {m})")
+        if len(set(elems)) != len(elems):
+            raise MalformedInstance(f"set {i} has duplicate elements")
+        frozen.append(tuple(elems))
+    fractions = []
+    for i, w in enumerate(weights):
+        w = Fraction(w)
+        if w <= 0:
+            raise MalformedInstance(f"set {i} has non-positive weight {w}")
+        fractions.append(w)
+    dual = tuple(tuple(i for i, s in enumerate(frozen) if j in s) for j in range(m))
+    return SetCoverInstance(n, m, tuple(frozen), tuple(fractions), dual)
+
+
+def naive_weight(tok):
+    if "/" in tok:
+        num, den = tok.split("/", 1)
+        return Fraction(int(num), int(den))
+    return Fraction(int(tok))
+
+
+def naive_rows(text, what):
+    rows = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    rows = [r for r in rows if r]
+    if not rows:
+        raise MalformedInstance(f"empty {what} file")
+    if len(rows[0]) != 2:
+        raise MalformedInstance("header must be 'n m'")
+    return rows
+
+
+def naive_graph_from_text(text):
+    rows = naive_rows(text, "graph")
+    with malformed_numbers("graph file"):
+        n, m = int(rows[0][0]), int(rows[0][1])
+        if len(rows) - 1 != m:
+            raise MalformedInstance(f"expected {m} edge lines, found {len(rows) - 1}")
+        triples = []
+        for parts in rows[1:]:
+            if len(parts) != 3:
+                raise MalformedInstance(f"bad edge line: {' '.join(parts)!r}")
+            triples.append((int(parts[0]), int(parts[1]), naive_weight(parts[2])))
+    return naive_graph(n, triples)
+
+
+def naive_set_cover_from_text(text):
+    rows = naive_rows(text, "set-cover")
+    with malformed_numbers("set-cover file"):
+        n, m = int(rows[0][0]), int(rows[0][1])
+        if len(rows) - 1 != n:
+            raise MalformedInstance(f"expected {n} set lines, found {len(rows) - 1}")
+        sets, weights = [], []
+        for parts in rows[1:]:
+            if len(parts) < 2:
+                raise MalformedInstance(f"bad set line: {' '.join(parts)!r}")
+            w, k, elems = naive_weight(parts[0]), int(parts[1]), [int(p) for p in parts[2:]]
+            if len(elems) != k:
+                raise MalformedInstance(f"set line announces {k} elements, has {len(elems)}")
+            sets.append(elems)
+            weights.append(w)
+    return naive_set_cover(n, m, sets, weights)
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: the value or the exception's type and text."""
+    try:
+        return build(*args)
+    except (MalformedInstance, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# Instances are drawn valid, with non-canonical tokens (2/4, +3, -0),
+# comments, blank lines and padding; about half of them then get one
+# defect: a bad weight (0 for set cover, -1, 3/-6, 1/0, abc, 1.5), a
+# self-loop, a duplicate, an endpoint or element out of range, an
+# unparseable id, a wrong token or line count.
+VALID_WEIGHTS = ["1", "2", "7", "5/3", "2/4", "+3"]
+BAD_WEIGHTS = ["-1", "3/-6", "1/0", "abc", "1.5"]
+weight_values = st.one_of(
+    st.integers(-1, 9),
+    st.sampled_from(VALID_WEIGHTS + ["0", "-0"] + BAD_WEIGHTS),
+    st.fractions(min_value=-1, max_value=9, max_denominator=6),
+)
+GRAPH_DEFECTS = ["weight", "loop", "duplicate", "range", "id", "tokens", "count"]
+SET_DEFECTS = ["weight", "zero", "duplicate", "range", "id", "tokens", "count"]
+
+
+def defect(draw, kinds):
+    return draw(st.sampled_from([None] * len(kinds) + kinds))
+
+
+def text_file(draw, header, lines):
+    """Join the lines with the odd comment, blank line and padding."""
+    out = [header]
+    for line in lines:
+        out.append(draw(st.sampled_from(["", "# comment", "   ", "", ""])))
+        out.append(line + draw(st.sampled_from(["", "", "  # note", " "])))
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def graph_texts(draw):
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=8, unique_by=frozenset))
+    lines = [[str(u), str(v), draw(st.sampled_from(VALID_WEIGHTS + ["0", "-0"]))] for u, v in pairs]
+    at = draw(st.integers(0, len(lines) - 1))
+    kind = defect(draw, GRAPH_DEFECTS)
+    if kind == "weight":
+        lines[at][2] = draw(st.sampled_from(BAD_WEIGHTS))
+    elif kind == "loop":
+        lines[at][1] = lines[at][0]
+    elif kind == "duplicate":
+        lines.append(lines[at][1::-1] + ["1"])
+    elif kind == "range":
+        lines[at][1] = draw(st.sampled_from(["-1", str(n)]))
+    elif kind == "id":
+        lines[at][0] = "x"
+    elif kind == "tokens":
+        lines[at] = lines[at][:2] if draw(st.booleans()) else lines[at] + ["1"]
+    m = len(lines) + (draw(st.sampled_from([1, -1])) if kind == "count" else 0)
+    return text_file(draw, f"{n} {m}", [" ".join(parts) for parts in lines])
+
+
+@st.composite
+def set_cover_texts(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    sets = [draw(st.lists(st.integers(0, m - 1), max_size=4, unique=True)) for _ in range(n)]
+    lines = [[draw(st.sampled_from(VALID_WEIGHTS)), str(len(s))] + [str(j) for j in s] for s in sets]
+    at = draw(st.integers(0, n - 1))
+    kind = defect(draw, SET_DEFECTS)
+    if kind == "weight":
+        lines[at][0] = draw(st.sampled_from(BAD_WEIGHTS))
+    elif kind == "zero":
+        lines[at][0] = draw(st.sampled_from(["0", "-0", "0/3"]))
+    elif kind == "duplicate" and sets[at]:
+        lines[at] += [lines[at][2]]
+        lines[at][1] = str(len(lines[at]) - 2)
+    elif kind == "range":
+        lines[at] += [draw(st.sampled_from(["-1", str(m)]))]
+        lines[at][1] = str(len(lines[at]) - 2)
+    elif kind == "id":
+        lines[at] += ["y"]
+        lines[at][1] = str(len(lines[at]) - 2)
+    elif kind == "tokens":
+        lines[at][1] = str(len(lines[at]) - 1)
+    elif kind == "count":
+        lines.append(["1", "0"])
+    return text_file(draw, f"{n} {m}", [" ".join(parts) for parts in lines])
+
+
+def assert_same_graph(new, naive):
+    assert new == naive
+    if isinstance(new, Graph):
+        assert all(type(w) is Fraction for _, _, w in new.edges)
+
+
+def assert_same_set_cover(new, naive):
+    assert new == naive
+    if isinstance(new, SetCoverInstance):
+        assert all(type(w) is Fraction for w in new.weights)
+
+
+@settings(deadline=None)
+@given(graph_texts())
+def test_graph_from_text_matches_naive_reference(text):
+    assert_same_graph(outcome(graph_from_text, text), outcome(naive_graph_from_text, text))
+
+
+@settings(deadline=None)
+@given(set_cover_texts())
+def test_set_cover_from_text_matches_naive_reference(text):
+    assert_same_set_cover(outcome(set_cover_from_text, text), outcome(naive_set_cover_from_text, text))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_make_graph_matches_naive_reference(data):
+    n = data.draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = data.draw(st.lists(pair, max_size=10, unique_by=frozenset))
+    # Weights are ints, strings and Fractions; equal ones are often the
+    # same object.  Now and then one edge is a self-loop, a duplicate or
+    # out of range.
+    triples = [(u, v, data.draw(weight_values)) for u, v in pairs]
+    bad_edge = st.sampled_from([(0, 0, 1), (1, 0, 1), (0, n, 1), (-1, 1, 1)])
+    if triples and data.draw(st.booleans()):
+        triples.insert(data.draw(st.integers(0, len(triples))), data.draw(bad_edge))
+    assert_same_graph(outcome(make_graph, n, triples), outcome(naive_graph, n, triples))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_make_set_cover_matches_naive_reference(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    sets = data.draw(st.lists(st.sets(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    sets = [list(s) for s in sets]
+    weights = data.draw(st.lists(weight_values, min_size=n, max_size=n))
+    at = data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from([None, None, None, "duplicate", "range", "count"]))
+    if kind == "duplicate" and sets[at]:
+        sets[at].append(sets[at][0])
+    elif kind == "range":
+        sets[at].append(data.draw(st.sampled_from([-1, m])))
+    elif kind == "count":
+        weights.append(1)
+    assert_same_set_cover(outcome(make_set_cover, n, m, sets, weights), outcome(naive_set_cover, n, m, sets, weights))
+
+
+def test_equal_weights_share_one_fraction():
+    text = "4 3\n0 1 2\n1 2 2\n2 3 4/2\n"
+    g = graph_from_text(text)
+    assert g.weight(0) is g.weight(1)  # one Fraction per distinct token
+    g = generate_graph(30, "1/2", (1, 3), seed=4)
+    assert len({id(w) for _, _, w in g.edges}) <= 3  # one per distinct value
+    inst = generate_set_cover(40, 10, 0.3, (1, 2), seed=4)
+    assert len({id(w) for w in inst.weights}) <= 2

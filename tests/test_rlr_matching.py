@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
 from mpcgraph.oracles import brute_force, lr_bmatching_seq, lr_matching_seq
-from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching
+from mpcgraph.rlr_matching import _scaled_weights, approx_b_matching, approx_max_matching
 
 
 def test_p3_every_seed_gives_opt():
@@ -188,3 +191,13 @@ def test_match_config_defaults():
     assert cfg.eta == ipow_floor(64, Fraction(5, 4))
     assert cfg.machine_count == -(-g.m // cfg.eta)
     assert cfg.fanout >= 2
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=40), max_size=12))
+def test_scaled_weights_match_fraction_scaling(weights):
+    # The scaled weights are the exact ints int(w * lcm of denominators).
+    g = make_graph(len(weights) + 1, [(0, i + 1, w) for i, w in enumerate(weights)])
+    scale = 1
+    for w in weights:
+        scale = scale * w.denominator // math.gcd(scale, w.denominator)
+    assert _scaled_weights(g) == [int(w * scale) for w in weights]

@@ -166,3 +166,14 @@ def test_empty_universe():
     inst = make_set_cover(2, 0, [[], []], [1, 1])
     res = approx_sc_f(inst, mu="1/5", seed=0)
     assert res.value.set_ids == () and res.iterations == 0
+
+
+def test_vc_iteration_guard(monkeypatch):
+    # A central round that never zeroes a vertex leaves every edge alive,
+    # so the alive count never shrinks: the guard must stop the loop.
+    import mpcgraph.rlr_setcover as rsc
+
+    monkeypatch.setattr(rsc, "_central_round", lambda cluster, instance, tag, publish: ())
+    path = make_graph(3, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(AssertionError, match="vertex-cover iteration guard"):
+        vertex_cover_2approx(path, mu="1/5", seed=0)
