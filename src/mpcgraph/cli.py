@@ -29,9 +29,11 @@ from .instances import (
     Matching,
     TooLarge,
     Uncoverable,
+    ValidationReport,
     digest,
     generate_graph,
     generate_set_cover,
+    id_error,
     malformed_numbers,
     read_graph,
     read_set_cover,
@@ -62,26 +64,62 @@ def _vertex_cover_weight(value, instance, weights):
     return sum((weights[i] for i in value.set_ids), Fraction(0))
 
 
-def _size(value, instance, aux):
-    return len(value)
-
-
 def _colour_count(value, instance, aux):
     return value.colour_count
+
+
+def _check_cover(instance, rows, aux):
+    return validate(Cover(tuple(map(int, rows[1:]))), instance)
+
+
+def _check_matching(graph, rows, aux):
+    """Edges that ``aux`` caps (None: a matching), after a line stating
+    their total weight."""
+    stated = rows[1].split() if len(rows) > 1 else []
+    if len(stated) != 2 or stated[0] != "weight":
+        raise MalformedInstance("matching solution needs a 'weight <w>' line")
+    report = validate_b_matching(Matching(tuple(sorted(map(int, rows[2:])))), graph, aux)
+    if report.feasible and report.objective != Fraction(stated[1]):
+        note = f"malformed: weight line {stated[1]} != recomputed {frac_str(report.objective)}"
+        return ValidationReport(report.kind, False, report.objective, note)
+    return report
+
+
+def _check_colouring(graph, rows, aux):
+    """A 'colouring <mode> <count>' header, then one 'item group colour'
+    line per item; count must be the number of colours used."""
+    head = rows[0].split()
+    triples = sorted(tuple(map(int, row.split())) for row in rows[1:])
+    if len(head) != 3 or any(len(t) != 3 for t in triples):
+        raise MalformedInstance("colouring solution needs a 'colouring <mode> <count>' header and 3-token lines")
+    fault = id_error([t[0] for t in triples], len(triples), "item")
+    if fault:
+        return ValidationReport(f"{head[1]}-colouring", False, None, fault)
+    report = validate(Colouring(head[1], tuple(t[1] for t in triples), tuple(t[2] for t in triples)), graph)
+    if report.feasible and report.objective != int(head[2]):
+        note = f"malformed: header count {head[2]} != {report.objective} colours used"
+        return ValidationReport(report.kind, False, report.objective, note)
+    return report
 
 
 @dataclass(frozen=True)
 class Problem:
     """What an algorithm's output is scored and checked against.
 
-    ``objective(value, instance, aux)`` scores a solution and ``oracle(
-    instance, aux)`` is the brute-force optimum (None: no oracle), where
-    ``aux(args)`` is the problem's extra input (vertex weights, capacity).
+    ``kind`` heads the problem's solution file (``run --out``) and
+    ``check(instance, rows, aux)`` judges that file's non-blank lines,
+    header included, for ``verify``: it returns a ValidationReport whose
+    objective is the solution's score.  ``objective(value, instance,
+    aux)`` scores a solution and ``oracle(instance, aux)`` is the
+    brute-force optimum (None: no oracle), where ``aux(args)`` is the
+    problem's extra input (vertex weights, capacity).
     """
 
+    kind: str
     graph_input: bool
     minimizing: bool
     objective: Callable
+    check: Callable
     oracle: Callable = lambda instance, aux: None
     aux: Callable = lambda args: None
 
@@ -92,24 +130,56 @@ class Problem:
         return Fraction(num) / den if den else None
 
 
-SET_COVER = Problem(False, True, _weight, lambda instance, aux: brute_force("setcover", instance)[0])
+SET_COVER = Problem(
+    "cover", False, True, _weight, _check_cover, lambda instance, aux: brute_force("setcover", instance)[0]
+)
 VERTEX_COVER = Problem(
+    "cover",
     True,
     True,
     _vertex_cover_weight,
+    lambda graph, rows, aux: _check_cover(vertex_cover_encoding(graph, aux), rows, aux),
     lambda instance, aux: brute_force("setcover", vertex_cover_encoding(instance, aux))[0],
     aux=lambda args: _vertex_weights(args.vertex_weights),
 )
-MATCHING = Problem(True, False, _weight, lambda instance, aux: brute_force("matching", instance)[0])
+MATCHING = Problem(
+    "matching", True, False, _weight, _check_matching, lambda instance, aux: brute_force("matching", instance)[0]
+)
 B_MATCHING = Problem(
+    "matching",
     True,
     False,
     _weight,
+    _check_matching,
     lambda instance, aux: brute_force("bmatching", instance, aux)[0],
     aux=lambda args: 1 if args.b is None else args.b,
 )
-MAXIMAL_SET = Problem(True, False, _size)
-COLOURING = Problem(True, False, _colour_count)
+
+
+class _SetReport(ValidationReport):
+    """A vertex set's verdict, printed with the set's size."""
+
+    def __str__(self) -> str:
+        return f"{self.kind}: {'feasible (maximal)' if self.feasible else 'infeasible'} size={self.objective}"
+
+
+def _maximal_set(kind: str, is_maximal: Callable) -> Problem:
+    """The problem of a vertex set that ``is_maximal(graph, vertices)`` judges."""
+
+    def check(graph, rows, aux):
+        vertices = tuple(map(int, rows[1:]))
+        fault = id_error(vertices, graph.n, "vertex")
+        if fault:
+            return ValidationReport(kind, False, None, fault)
+        return _SetReport(kind, is_maximal(graph, vertices), len(vertices))
+
+    return Problem(kind, True, False, lambda value, instance, aux: len(value), check)
+
+
+INDEPENDENT_SET = _maximal_set("mis", is_maximal_independent_set)
+CLIQUE = _maximal_set("clique", is_maximal_clique)
+COLOUR_V = Problem("colouring vertex", True, False, _colour_count, _check_colouring)
+COLOUR_E = Problem("colouring edge", True, False, _colour_count, _check_colouring)
 
 
 @dataclass(frozen=True)
@@ -170,9 +240,9 @@ ALGORITHMS = {
         inputs=lambda args, aux: {"b": aux, "epsilon": _epsilon(args, "bmatch")},
         bound=lambda instance, epsilon, b: _labelled("(3-2/max(2,b)+2eps)", 3 - Fraction(2, max(2, b)) + 2 * epsilon),
     ),
-    "mis-simple": Algorithm("maximal independent set, O(1/mu^2) rounds", MAXIMAL_SET, hungry, "mis_simple"),
-    "mis-fast": Algorithm("maximal independent set, O(c/mu) rounds", MAXIMAL_SET, hungry, "mis_fast"),
-    "clique": Algorithm("maximal clique via lazy complement, O(1/mu) rounds", MAXIMAL_SET, hungry, "maximal_clique"),
+    "mis-simple": Algorithm("maximal independent set, O(1/mu^2) rounds", INDEPENDENT_SET, hungry, "mis_simple"),
+    "mis-fast": Algorithm("maximal independent set, O(c/mu) rounds", INDEPENDENT_SET, hungry, "mis_fast"),
+    "clique": Algorithm("maximal clique via lazy complement, O(1/mu) rounds", CLIQUE, hungry, "maximal_clique"),
     "sc-lnD": Algorithm(
         "weighted set cover, weight <= (1+eps) * H_Delta * OPT",
         SET_COVER,
@@ -181,9 +251,9 @@ ALGORITHMS = {
         inputs=lambda args, aux: {"epsilon": _epsilon(args, "sc-lnD")},
         bound=lambda instance, epsilon, b: _labelled("(1+eps)*H_Delta", eps_greedy_bound(instance, epsilon)),
     ),
-    "colour-v": Algorithm("vertex colouring, (1 + o(1)) * Delta colours", COLOURING, col, "vertex_colouring", _kappa),
+    "colour-v": Algorithm("vertex colouring, (1 + o(1)) * Delta colours", COLOUR_V, col, "vertex_colouring", _kappa),
     "colour-e": Algorithm(
-        "edge colouring via per-group fan rotation, (1 + o(1)) * Delta colours", COLOURING, col, "edge_colouring", _kappa
+        "edge colouring via per-group fan rotation, (1 + o(1)) * Delta colours", COLOUR_E, col, "edge_colouring", _kappa
     ),
 }
 
@@ -310,45 +380,18 @@ def _load_instance(problem: Problem, path: str):
 
 
 def solution_to_text(algorithm: str, value, instance, aux) -> str:
+    lines = [ALGORITHMS[algorithm].problem.kind]
     if isinstance(value, Matching):
-        lines = ["matching", f"weight {frac_str(value.weight(instance))}"]
+        lines.append(f"weight {frac_str(value.weight(instance))}")
         lines += [str(e) for e in value.edge_ids]
     elif isinstance(value, Cover):
-        lines = ["cover"]
         lines += [str(i) for i in value.set_ids]
     elif isinstance(value, Colouring):
-        lines = [f"colouring {value.kind} {value.colour_count}"]
+        lines[0] += f" {value.colour_count}"
         lines += [f"{i} {g} {c}" for i, (g, c) in enumerate(zip(value.groups, value.colours))]
     else:  # vertex set
-        kind = "clique" if algorithm == "clique" else "mis"
-        lines = [kind]
         lines += [str(v) for v in value]
     return "\n".join(lines) + "\n"
-
-
-def solution_from_text(text: str):
-    rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise MalformedInstance("empty solution file")
-    head = rows[0].split()
-    kind = head[0]
-    if kind == "matching":
-        stated = rows[1].split() if len(rows) > 1 else []
-        if len(stated) != 2 or stated[0] != "weight":
-            raise MalformedInstance("matching solution needs a 'weight <w>' line")
-        return ("matching", (Fraction(stated[1]), tuple(int(x) for x in rows[2:])))
-    if kind == "cover":
-        return ("cover", tuple(int(x) for x in rows[1:]))
-    if kind in ("mis", "clique"):
-        return (kind, tuple(int(x) for x in rows[1:]))
-    if kind == "colouring":
-        mode = head[1]
-        triples = [tuple(int(t) for t in ln.split()) for ln in rows[1:]]
-        triples.sort()
-        groups = tuple(t[1] for t in triples)
-        colours = tuple(t[2] for t in triples)
-        return ("colouring", Colouring(kind=mode, groups=groups, colours=colours))
-    raise MalformedInstance(f"unknown solution kind {kind!r}")
 
 
 def cmd_generate(args) -> int:
@@ -428,53 +471,21 @@ def cmd_verify(args) -> int:
     problem = spec.problem
     instance = _load_instance(problem, args.instance)
     with open(args.solution, "r", encoding="ascii") as fh:
-        text = fh.read()
-    with malformed_numbers(args.solution):
-        kind, payload = solution_from_text(text)
+        rows = [line.strip() for line in fh.read().splitlines() if line.strip()]
+    kind = problem.kind.split()
+    if not rows or rows[0].split()[: len(kind)] != kind:
+        raise MalformedInstance(f"{args.algorithm} solution files start with {problem.kind!r}")
     epsilon = _rational(args.epsilon, "--epsilon")
-    feasible = False
-    objective = None
-    if kind == "matching":
-        stated, ids = payload
-        loads = [0] * instance.n
-        for e in ids:
-            if not (0 <= e < instance.m):
-                print(f"FAIL malformed: edge id {e} out of range")
-                return 3
-            u, v = instance.endpoints(e)
-            loads[u] += 1
-            loads[v] += 1
-        sol = Matching(edge_ids=tuple(sorted(ids)), loads=tuple(loads))
-        rep = validate_b_matching(sol, instance, args.b) if args.algorithm == "bmatch" else validate(sol, instance)
-        feasible, objective = rep.feasible, rep.objective
-        print(rep)
-        if feasible and objective != stated:
-            print(f"FAIL malformed: weight line {frac_str(stated)} != recomputed {frac_str(objective)}")
-            return 3
-    elif kind == "cover":
-        sol = Cover(set_ids=payload)
-        if args.algorithm == "vc-2":
-            enc = vertex_cover_encoding(instance)
-            rep = validate(sol, enc)
-        else:
-            rep = validate(sol, instance)
-        feasible, objective = rep.feasible, rep.objective
-        print(rep)
-    elif kind in ("mis", "clique"):
-        check = is_maximal_clique if kind == "clique" else is_maximal_independent_set
-        feasible = check(instance, payload)
-        objective = len(payload)
-        print(f"{kind}: {'feasible (maximal)' if feasible else 'infeasible'} size={objective}")
-    else:
-        rep = validate(payload, instance)
-        feasible, objective = rep.feasible, rep.objective
-        print(rep)
-    if not feasible:
+    aux = problem.aux(args)
+    with malformed_numbers(args.solution):
+        report = problem.check(instance, rows, aux)
+    print(report)
+    if not report.feasible:
         print("FAIL infeasible")
         return 3
     if args.against_oracle:
         try:
-            opt = problem.oracle(instance, problem.aux(args))
+            opt = problem.oracle(instance, aux)
         except TooLarge as exc:
             print(f"TooLarge: {exc}; validity-only verdict")
             return 0
@@ -482,7 +493,7 @@ def cmd_verify(args) -> int:
             print("no oracle for this algorithm; validity-only verdict")
             return 0
         bound, bound_label = spec.bound(instance, epsilon, args.b)
-        ratio = problem.ratio(Fraction(objective), opt)
+        ratio = problem.ratio(Fraction(report.objective), opt)
         if ratio is None and opt == 0:
             ratio = Fraction(0)
         if ratio is None:

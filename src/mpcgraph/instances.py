@@ -145,14 +145,6 @@ class SetCoverInstance:
         """Delta = max_i |S_i|."""
         return max((len(s) for s in self.sets), default=0)
 
-    @cached_property
-    def w_max(self) -> Fraction:
-        return max(self.weights) if self.weights else Fraction(0)
-
-    @cached_property
-    def w_min(self) -> Fraction:
-        return min(self.weights) if self.weights else Fraction(0)
-
     def check_coverable(self) -> None:
         for j, t in enumerate(self.dual):
             if not t:
@@ -201,31 +193,21 @@ def make_set_cover(n: int, m: int, sets: Sequence[Iterable[int]], weights: Seque
 
 @dataclass(frozen=True)
 class Matching:
-    """Selected edge ids plus the per-vertex load they induce."""
+    """Selected edge ids."""
 
     edge_ids: tuple[int, ...]
-    loads: tuple[int, ...]
 
     def weight(self, graph: Graph) -> Fraction:
         return sum((graph.weight(e) for e in self.edge_ids), Fraction(0))
 
 
 def make_matching(graph: Graph, edge_ids: Iterable[int], b=None) -> Matching:
-    ids = tuple(sorted(edge_ids))
-    loads = [0] * graph.n
-    for eid in ids:
-        if not (0 <= eid < graph.m):
-            raise MalformedInstance(f"edge id {eid} out of range")
-        u, v = graph.endpoints(eid)
-        loads[u] += 1
-        loads[v] += 1
-    if len(set(ids)) != len(ids):
-        raise MalformedInstance("duplicate edge id in matching")
-    caps = _vertex_capacities(graph.n, b)
-    for v, load in enumerate(loads):
-        if load > caps[v]:
-            raise MalformedInstance(f"vertex {v} load {load} exceeds capacity {caps[v]}")
-    return Matching(edge_ids=ids, loads=tuple(loads))
+    """The matching of ``edge_ids``; raises unless it is a b-matching."""
+    matching = Matching(tuple(sorted(edge_ids)))
+    report = validate_b_matching(matching, graph, b)
+    if not report.feasible:
+        raise MalformedInstance(str(report))
+    return matching
 
 
 def _vertex_capacities(n: int, b) -> list[int]:
@@ -249,12 +231,6 @@ class Cover:
 
     def weight(self, instance: SetCoverInstance) -> Fraction:
         return sum((instance.weights[i] for i in self.set_ids), Fraction(0))
-
-    def covers(self, instance: SetCoverInstance) -> bool:
-        covered = set()
-        for i in self.set_ids:
-            covered.update(instance.sets[i])
-        return len(covered) == instance.m
 
 
 @dataclass(frozen=True)
@@ -292,7 +268,7 @@ def validate(solution, instance) -> ValidationReport:
     are never mutated.
     """
     if isinstance(solution, Matching):
-        return _validate_matching(solution, instance)
+        return validate_b_matching(solution, instance)
     if isinstance(solution, Cover):
         return _validate_cover(solution, instance)
     if isinstance(solution, Colouring):
@@ -300,38 +276,42 @@ def validate(solution, instance) -> ValidationReport:
     raise TypeError(f"unknown solution type {type(solution).__name__}")
 
 
-def _validate_matching(sol: Matching, graph: Graph) -> ValidationReport:
-    return _validate_loads(sol, graph, [1] * graph.n, "matching", "vertex load exceeds 1")
-
-
-def validate_b_matching(sol: Matching, graph: Graph, b) -> ValidationReport:
-    caps = _vertex_capacities(graph.n, b)
-    return _validate_loads(sol, graph, caps, "b-matching", "vertex load exceeds capacity")
-
-
-def _validate_loads(sol: Matching, graph: Graph, caps: list[int], kind: str, overload: str) -> ValidationReport:
-    loads = [0] * graph.n
+def id_error(ids: Iterable[int], count: int, noun: str) -> str:
+    """The malformed-input note for the first id that is listed twice or
+    lies outside [0, count); '' when every id is listed once, in range."""
     seen = set()
+    for i in ids:
+        if not 0 <= i < count:
+            return f"malformed: {noun} id {i} out of range"
+        if i in seen:
+            return f"malformed: duplicate {noun} id {i}"
+        seen.add(i)
+    return ""
+
+
+def validate_b_matching(sol: Matching, graph: Graph, b=None) -> ValidationReport:
+    """Check the vertex loads against capacities ``b`` (None: a matching)."""
+    kind, limit = ("matching", "1") if b is None else ("b-matching", "capacity")
+    fault = id_error(sol.edge_ids, graph.m, "edge")
+    if fault:
+        return ValidationReport(kind, False, None, fault)
+    caps = _vertex_capacities(graph.n, b)
+    loads = [0] * graph.n
     for eid in sol.edge_ids:
-        if not (0 <= eid < graph.m):
-            return ValidationReport(kind, False, None, f"malformed: edge id {eid} out of range")
-        if eid in seen:
-            return ValidationReport(kind, False, None, f"malformed: duplicate edge id {eid}")
-        seen.add(eid)
         u, v = graph.endpoints(eid)
         loads[u] += 1
         loads[v] += 1
     bad = [v for v in range(graph.n) if loads[v] > caps[v]]
     weight = sol.weight(graph)
     if bad:
-        return ValidationReport(kind, False, weight, overload, tuple(bad[:1]))
+        return ValidationReport(kind, False, weight, f"vertex load exceeds {limit}", tuple(bad[:1]))
     return ValidationReport(kind, True, weight)
 
 
 def _validate_cover(sol: Cover, instance: SetCoverInstance) -> ValidationReport:
-    for i in sol.set_ids:
-        if not (0 <= i < instance.n):
-            return ValidationReport("cover", False, None, f"malformed: set id {i} out of range")
+    fault = id_error(sol.set_ids, instance.n, "set")
+    if fault:
+        return ValidationReport("cover", False, None, fault)
     covered = set()
     for i in sol.set_ids:
         covered.update(instance.sets[i])

@@ -440,19 +440,3 @@ def is_maximal_clique(graph: Graph, vertices: Iterable[int]) -> bool:
             return False
     return True
 
-
-def greedy_mis_seq(graph: Graph, vertices: Iterable[int] | None = None) -> list[int]:
-    """Lowest-id-first maximal independent set on an induced subgraph."""
-    pool = sorted(set(range(graph.n)) if vertices is None else set(vertices))
-    pool_set = set(pool)
-    picked: list[int] = []
-    blocked: set[int] = set()
-    for v in pool:
-        if v in blocked:
-            continue
-        picked.append(v)
-        blocked.add(v)
-        for u in graph.neighbours(v):
-            if u in pool_set:
-                blocked.add(u)
-    return picked

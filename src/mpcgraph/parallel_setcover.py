@@ -16,7 +16,6 @@ the m^mu-ary broadcast/aggregation tree and are charged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import (
@@ -30,7 +29,7 @@ from .engine import (
     run_with_retries,
 )
 from .exactmath import exceeds_pow, ipow_ceil, ipow_floor, pow_threshold
-from .instances import Cover, SetCoverInstance, Uncoverable, make_set_cover
+from .instances import Cover, SetCoverInstance, validate
 from .instances import _binomial
 
 
@@ -320,7 +319,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
             raise AssertionError("threshold-level guard tripped")
 
     cover = Cover(set_ids=tuple(sorted(set(chosen))))
-    if not cover.covers(instance):
+    if not validate(cover, instance).feasible:
         raise AssertionError("bucketed cover terminated uncovered")
     extras = {
         "inner_per_level": inner_per_level,
@@ -331,109 +330,3 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
     }
     return cover, iterations, extras
 
-
-# ---------------------------------------------------------------------------
-# Weight preprocessing (w_max/w_min <= mn/eps)
-
-
-@dataclass(frozen=True)
-class PreprocessResult:
-    reduced: SetCoverInstance
-    forced: tuple[int, ...]
-    kept_sets: tuple[int, ...]
-    kept_elements: tuple[int, ...]
-    gamma: Fraction
-    rounds: int
-
-
-def preprocess_weights(
-    instance: SetCoverInstance, epsilon, config: ClusterConfig | None = None
-) -> PreprocessResult:
-    """Force every set of weight <= gamma*eps/n into the cover and delete
-    every set of weight > m*gamma, where gamma = max_j min_{S ∋ j} w(S).
-
-    Leaves w_max/w_min <= mn/eps; the forced weight is at most eps * OPT.
-    Tree rounds for the per-element minimum fold and the gamma broadcast
-    are charged.
-    """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    instance.check_coverable()
-    cfg = config or cluster_config(max(2, instance.m), _set_words(instance), _psc_budget(instance))
-    cluster = Cluster(cfg)
-    m_count = cfg.machine_count
-    for mid in range(m_count):
-        own = {i: (instance.weights[i], instance.sets[i]) for i in range(mid, instance.n, m_count)}
-        cluster.preload(mid, "sets", Payload(own, sum(2 + len(s) for _, s in own.values())))
-
-    def minw_step(mid, store, inbox, rng):
-        mins: dict[int, Fraction] = {}
-        for i, (w, elems) in store["sets"].value.items():
-            for e in elems:
-                if e not in mins or w < mins[e]:
-                    mins[e] = w
-        return {**store, "minw": mins}, []
-
-    cluster.run_round(minw_step, label="prep:minw")
-
-    def merge_min(a, b):
-        out = dict(a)
-        for e, w in b.items():
-            if e not in out or w < out[e]:
-                out[e] = w
-        return out
-
-    mins, _ = cluster.aggregate("minw", merge_min, label="prep:fold")
-    if len(mins) < instance.m:
-        raise Uncoverable("element with no covering set")
-    gamma = max(mins.values()) if mins else Fraction(0)
-    cluster.broadcast("gamma", gamma, label="prep:gamma")
-
-    force_cut = gamma * epsilon / max(1, instance.n)
-    delete_cut = instance.m * gamma
-
-    def classify_step(mid, store, inbox, rng):
-        forced, deleted = [], []
-        for i, (w, _) in sorted(store["sets"].value.items()):
-            if w <= force_cut:
-                forced.append(i)
-            elif w > delete_cut:
-                deleted.append(i)
-        return store, [(0, "classes", (tuple(forced), tuple(deleted)))]
-
-    cluster.run_round(classify_step, label="prep:classify")
-
-    @central
-    def gather_step(store, inbox):
-        forced, deleted = [], []
-        for f, d in gather(inbox, "classes"):
-            forced.extend(f)
-            deleted.extend(d)
-        return {**store, "forced": tuple(sorted(forced)), "deleted": tuple(sorted(deleted))}, []
-
-    cluster.run_round(gather_step, label="prep:gather")
-    forced = cluster.stores[0]["forced"]
-    deleted = set(cluster.stores[0]["deleted"])
-
-    covered = set()
-    for i in forced:
-        covered.update(instance.sets[i])
-    kept_elements = tuple(e for e in range(instance.m) if e not in covered)
-    remap = {e: idx for idx, e in enumerate(kept_elements)}
-    kept_sets = tuple(
-        i for i in range(instance.n) if i not in deleted and i not in forced
-    )
-    new_sets = [
-        [remap[e] for e in instance.sets[i] if e in remap] for i in kept_sets
-    ]
-    new_weights = [instance.weights[i] for i in kept_sets]
-    reduced = make_set_cover(len(kept_sets), len(kept_elements), new_sets, new_weights)
-    return PreprocessResult(
-        reduced=reduced,
-        forced=tuple(forced),
-        kept_sets=kept_sets,
-        kept_elements=kept_elements,
-        gamma=gamma,
-        rounds=cluster.total_rounds(),
-    )

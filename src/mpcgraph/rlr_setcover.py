@@ -25,7 +25,7 @@ from .engine import (
     gather_concat,
     run_with_retries,
 )
-from .instances import Cover, Graph, SetCoverInstance, vertex_cover_encoding
+from .instances import Cover, Graph, SetCoverInstance, validate, vertex_cover_encoding
 from .oracles import CoverReduction
 
 
@@ -128,7 +128,7 @@ def _central_round(cluster: Cluster, instance: SetCoverInstance, tag: str, publi
 
 def _final_cover(cluster: Cluster, instance: SetCoverInstance, what: str) -> Cover:
     cover = Cover(set_ids=tuple(sorted(cluster.stores[0]["cover"].value)))
-    if not cover.covers(instance):
+    if not validate(cover, instance).feasible:
         raise AssertionError(f"terminated with uncovered {what}")
     return cover
 

@@ -127,6 +127,35 @@ def test_verify_checks_the_weight_line(tmp_path, capsys, text):
     assert code == 3 and "PASS" not in out
 
 
+# Each of these verified (or crashed) before verify judged files through the
+# registry; on the path 0 - 1 - 2.
+BAD_SOLUTIONS = {
+    "mis repeated and out-of-range ids": ("mis-fast", "mis\n0\n2\n2\n99\n", []),
+    "clique repeated id": ("clique", "clique\n0\n1\n1\n", []),
+    "cover repeated id": ("vc-2", "cover\n0\n0\n1\n", ["--against-oracle"]),
+    "colouring id out of range": ("colour-v", "colouring vertex 2\n0 0 0\n1 0 1\n5 0 0\n", []),
+    "colouring header count": ("colour-v", "colouring vertex 99\n0 0 0\n1 0 1\n2 0 0\n", []),
+    "colouring 4-token row": ("colour-v", "colouring vertex 2\n0 0 0\n1 0 1\n2 0 0 7\n", []),
+    "colouring without mode": ("colour-e", "colouring\n0 0 0\n1 0 1\n", []),
+    "edge colouring under colour-v": ("colour-v", "colouring edge 2\n0 0 0\n1 0 1\n", []),
+    "matching under mis-fast": ("mis-fast", "matching\nweight 5\n0\n", []),
+    "mis under match-2": ("match-2", "mis\n0\n2\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLUTIONS))
+def test_verify_rejects_bad_solution_files(tmp_path, capsys, case):
+    alg, text, extra = BAD_SOLUTIONS[case]
+    path = tmp_path / "p3.graph"
+    path.write_text("3 2\n0 1 5\n1 2 1\n")
+    sol = tmp_path / "s.sol"
+    sol.write_text(text)
+    code = cli.main(["verify", str(path), str(sol), "--algorithm", alg, *extra])
+    out, err = capsys.readouterr()
+    assert code == 3 and "PASS" not in out
+    assert "malformed" in out or "error:" in err  # rejected as malformed, not scored
+
+
 def test_verify_oracle_too_large(tmp_path, capsys):
     path = tmp_path / "big.graph"
     run_cli(capsys, "generate", "graph", str(path), "--n", "40", "--c", "2/5", "--seed", "1")

@@ -124,15 +124,17 @@ def test_validate_examples():
     inst = make_set_cover(2, 3, [[0], [1, 2]], [1, 1])
     rep = validate(Cover(set_ids=()), inst)
     assert not rep.feasible and "uncovered=3" in rep.detail
+    rep = validate(Cover(set_ids=(0, 0, 1)), inst)
+    assert not rep.feasible and "malformed: duplicate set id 0" in rep.detail
     tri = make_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     col = greedy_vertex_colouring_seq(tri)
     bad = col.__class__(kind="vertex", groups=col.groups, colours=(1, 2, 1))
     rep = validate(bad, tri)
     assert not rep.feasible and rep.witness  # witness edge returned
-    malformed = Matching(edge_ids=(9,), loads=(0, 0, 0))
+    malformed = Matching(edge_ids=(9,))
     rep = validate(malformed, tri)
     assert not rep.feasible and "malformed" in rep.detail
-    twice = Matching(edge_ids=(0, 0), loads=(2, 2, 0))
+    twice = Matching(edge_ids=(0, 0))
     rep = validate(twice, tri)
     assert not rep.feasible and "duplicate edge id 0" in rep.detail
 

@@ -19,7 +19,6 @@ from mpcgraph.oracles import (
     MatchingReduction,
     brute_force,
     eps_greedy_set_cover_seq,
-    greedy_mis_seq,
     greedy_vertex_colouring_seq,
     is_maximal_clique,
     is_maximal_independent_set,
@@ -318,7 +317,6 @@ def test_mis_predicates():
     assert is_maximal_independent_set(square, [0, 2])
     assert not is_maximal_independent_set(square, [0])  # not maximal
     assert not is_maximal_independent_set(square, [0, 1])  # not independent
-    assert greedy_mis_seq(square) == [0, 2]
     k3 = make_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     assert is_maximal_clique(k3, [0, 1, 2])
     assert not is_maximal_clique(k3, [0, 1])

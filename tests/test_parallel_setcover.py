@@ -7,11 +7,7 @@ import pytest
 from mpcgraph.exactmath import harmonic
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
 from mpcgraph.oracles import brute_force
-from mpcgraph.parallel_setcover import (
-    approx_sc_lnDelta,
-    potential_phi,
-    preprocess_weights,
-)
+from mpcgraph.parallel_setcover import approx_sc_lnDelta, potential_phi
 
 
 def test_single_set_instance():
@@ -130,56 +126,6 @@ def test_inner_iteration_budget_instrumented(psc_instrumented_runs):
     budget = 2 * math.ceil(18 * math.log(phi0_cap) / (mu * math.log(m)))
     good = sum(1 for res in runs if max(res.extras["inner_per_level"], default=0) <= budget)
     assert good >= 18, f"inner budget held in only {good}/20 seeds"
-
-
-# ----------------------------------------------------------------- preprocess
-
-
-def test_preprocess_equal_weights_noop():
-    inst = make_set_cover(3, 3, [[0], [1], [2]], [4, 4, 4])
-    pr = preprocess_weights(inst, Fraction(1, 10))
-    assert pr.forced == () and pr.kept_sets == (0, 1, 2)
-    assert pr.gamma == 4
-    assert pr.reduced.m == 3
-
-
-def test_preprocess_deletes_heavy_set():
-    # one set of weight 10^9 * gamma with m < 10^9 is deleted
-    inst = make_set_cover(3, 2, [[0], [1], [0, 1]], [1, 1, 10**9])
-    pr = preprocess_weights(inst, Fraction(1, 2))
-    assert pr.gamma == 1
-    assert 2 not in pr.kept_sets
-    assert pr.forced == ()
-
-
-def test_preprocess_forces_cheap_set():
-    inst = make_set_cover(2, 2, [[0], [0, 1]], [Fraction(1, 10**6), 1])
-    pr = preprocess_weights(inst, Fraction(1, 2))
-    assert pr.gamma == 1  # element 1's cheapest cover
-    assert pr.forced == (0,)
-    assert pr.kept_elements == (1,)
-    assert pr.reduced.sets == ((0,),)
-    assert pr.rounds > 0
-
-
-def test_preprocess_weight_ratio_invariant():
-    rng = Random(83)
-    for _ in range(20):
-        n, m = rng.randint(2, 14), rng.randint(1, 10)
-        weights = [Fraction(rng.randint(1, 10), rng.randint(1, 10)) * 10 ** rng.randint(-6, 6) for _ in range(n)]
-        inst = generate_set_cover(n, m, 0.5, (1, 1), seed=rng.randint(0, 10**6))
-        inst = make_set_cover(n, m, inst.sets, weights)
-        eps = Fraction(rng.randint(1, 5), 10)
-        pr = preprocess_weights(inst, eps)
-        if pr.reduced.n:
-            assert pr.reduced.w_max / pr.reduced.w_min <= Fraction(m * n) / eps
-        # forced + kept still covers everything
-        covered = set()
-        for i in pr.forced:
-            covered.update(inst.sets[i])
-        for i in pr.kept_sets:
-            covered.update(inst.sets[i])
-        assert len(covered) == inst.m
 
 
 def test_psc_config_scale_is_ground_set():
