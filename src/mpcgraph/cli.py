@@ -90,8 +90,8 @@ def _check_colouring(graph, rows, aux):
     line per item; count must be the number of colours used."""
     head = rows[0].split()
     triples = sorted(tuple(map(int, row.split())) for row in rows[1:])
-    if len(head) != 3 or any(len(t) != 3 for t in triples):
-        raise MalformedInstance("colouring solution needs a 'colouring <mode> <count>' header and 3-token lines")
+    if any(len(t) != 3 for t in triples):
+        raise MalformedInstance("colouring solution needs 3-token 'item group colour' lines")
     fault = id_error([t[0] for t in triples], len(triples), "item")
     if fault:
         return ValidationReport(f"{head[1]}-colouring", False, None, fault)
@@ -106,7 +106,8 @@ def _check_colouring(graph, rows, aux):
 class Problem:
     """What an algorithm's output is scored and checked against.
 
-    ``kind`` heads the problem's solution file (``run --out``) and
+    ``kind`` heads the problem's solution file (``run --out``), followed
+    on that line by the colour count when ``counted``, and
     ``check(instance, rows, aux)`` judges that file's non-blank lines,
     header included, for ``verify``: it returns a ValidationReport whose
     objective is the solution's score.  ``objective(value, instance,
@@ -122,6 +123,7 @@ class Problem:
     check: Callable
     oracle: Callable = lambda instance, aux: None
     aux: Callable = lambda args: None
+    counted: bool = False
 
     def ratio(self, objective, opt) -> Fraction | None:
         """objective/OPT when minimizing, OPT/objective when maximizing;
@@ -178,8 +180,8 @@ def _maximal_set(kind: str, is_maximal: Callable) -> Problem:
 
 INDEPENDENT_SET = _maximal_set("mis", is_maximal_independent_set)
 CLIQUE = _maximal_set("clique", is_maximal_clique)
-COLOUR_V = Problem("colouring vertex", True, False, _colour_count, _check_colouring)
-COLOUR_E = Problem("colouring edge", True, False, _colour_count, _check_colouring)
+COLOUR_V = Problem("colouring vertex", True, False, _colour_count, _check_colouring, counted=True)
+COLOUR_E = Problem("colouring edge", True, False, _colour_count, _check_colouring, counted=True)
 
 
 @dataclass(frozen=True)
@@ -473,8 +475,10 @@ def cmd_verify(args) -> int:
     with open(args.solution, "r", encoding="ascii") as fh:
         rows = [line.strip() for line in fh.read().splitlines() if line.strip()]
     kind = problem.kind.split()
-    if not rows or rows[0].split()[: len(kind)] != kind:
-        raise MalformedInstance(f"{args.algorithm} solution files start with {problem.kind!r}")
+    head = rows[0].split() if rows else []
+    if head[: len(kind)] != kind or len(head) != len(kind) + problem.counted:
+        header = problem.kind + " <count>" * problem.counted
+        raise MalformedInstance(f"{args.algorithm} solution files start with the line {header!r}")
     epsilon = _rational(args.epsilon, "--epsilon")
     aux = problem.aux(args)
     with malformed_numbers(args.solution):

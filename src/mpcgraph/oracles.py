@@ -216,23 +216,24 @@ def greedy_vertex_colouring_seq(graph: Graph) -> Colouring:
 
 
 def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
-    """Misra-Gries fan/rotation edge colouring with at most Delta+1 colours.
+    """Misra-Gries fan/rotation edge colouring with at most Delta+1 colours
+    (Misra & Gries 1992).
 
     Deterministic: edges are processed in id order, fans extend with the
     lowest feasible colour, and the recolouring vertex is the earliest
-    valid fan position.
+    valid fan position.  A fan step scans only the colours in use at x,
+    and the valid fan prefix is found in one pass after the path
+    inversion, so no step walks the whole palette.
     """
     n, m = graph.n, graph.m
     palette = graph.max_degree + 1
+    ends = [(u, v) for u, v, _ in graph.edges]
+    far = [u ^ v for u, v in ends]  # far[eid] ^ x is the end of eid other than x
     colour = [0] * m
     used: list[dict[int, int]] = [dict() for _ in range(n)]
 
-    def other(eid: int, x: int) -> int:
-        u, v = graph.endpoints(eid)
-        return v if x == u else u
-
     def set_colour(eid: int, c: int) -> None:
-        u, v = graph.endpoints(eid)
+        u, v = ends[eid]
         old = colour[eid]
         if old:
             del used[u][old]
@@ -243,10 +244,12 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
             used[v][c] = eid
 
     def free_colour(v: int) -> int:
-        for c in range(1, palette + 1):
-            if c not in used[v]:
-                return c
-        raise AssertionError("no free colour within Delta+1 palette")
+        c = 1
+        while c in used[v]:
+            c += 1
+        if c > palette:
+            raise AssertionError("no free colour within Delta+1 palette")
+        return c
 
     def invert_cd_path(x: int, c: int, d: int) -> None:
         path = []
@@ -256,52 +259,41 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
             if e is None:
                 break
             path.append((e, want))
-            v = other(e, v)
+            v = far[e] ^ v
             want = c if want == d else d
         for e, _ in path:
             set_colour(e, 0)
         for e, had in path:
             set_colour(e, c if had == d else d)
 
-    def prefix_is_fan(x: int, fan: list[tuple[int, int]], j: int) -> bool:
-        for i in range(1, j + 1):
-            if colour[fan[i][0]] in used[fan[i - 1][1]]:
-                return False
-        return True
-
     for e0 in range(m):
-        x, f = graph.endpoints(e0)
+        x, f = ends[e0]
         fan = [(e0, f)]
-        members = {f}
+        # x's coloured edges (colour, edge), ascending by colour.  Their far
+        # ends are distinct and none is f, so an edge leaves the list when
+        # it joins the fan and the rest lead outside the fan.
+        spokes = sorted(used[x].items())
         while True:
-            tip = fan[-1][1]
-            ext = None
-            for c in range(1, palette + 1):
-                if c in used[tip]:
-                    continue
-                ew = used[x].get(c)
-                if ew is None:
-                    continue
-                wv = other(ew, x)
-                if wv in members:
-                    continue
-                ext = (ew, wv)
+            busy = used[fan[-1][1]]
+            for i, (c, e) in enumerate(spokes):
+                if c not in busy:
+                    fan.append((e, far[e] ^ x))
+                    del spokes[i]
+                    break
+            else:
                 break
-            if ext is None:
-                break
-            fan.append(ext)
-            members.add(ext[1])
         c = free_colour(x)
         d = free_colour(fan[-1][1])
         if d in used[x]:
             invert_cd_path(x, c, d)
-        pick = None
-        for j in range(len(fan)):
-            if d in used[fan[j][1]]:
-                continue
-            if prefix_is_fan(x, fan, j):
-                pick = j
+        # The inversion may take a fan edge's colour at the vertex before
+        # it; the fan is valid up to the first such position.
+        valid = len(fan)
+        for i in range(1, len(fan)):
+            if colour[fan[i][0]] in used[fan[i - 1][1]]:
+                valid = i
                 break
+        pick = next((j for j in range(valid) if d not in used[fan[j][1]]), None)
         assert pick is not None, "Misra-Gries invariant: a valid fan position exists"
         for i in range(pick):
             shifted = colour[fan[i + 1][0]]

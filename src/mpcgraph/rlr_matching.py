@@ -8,9 +8,15 @@ and sends the phi deltas and pushed ids back so edges can recompute their
 alive bit.  |E_{i+1}| is folded and rebroadcast through the tree, and the
 final unwind is its own charged round.
 
-Weights are rescaled once to a common integer denominator so the whole
-reduction chain runs in exact integer arithmetic; b-matching keeps
-fractions because the reduction divides by b(v).
+Weights are rescaled once to a common integer denominator (a uniform
+positive scale, so every comparison and push is unchanged).  Matching
+then runs in exact integer arithmetic.  b-matching's phi stays an exact
+rational: a push adds gain/b(v), and the denominators grow along a push
+chain (on the path 0-1-2-3 with unit weights and b=2, phi[2] is 1/4 and
+then 5/8), so no fixed integer scale holds it.  Its alive test
+w > (1+eps)(phi_a + phi_b) is an integer cross-multiplication of phi's
+numerators and denominators instead, and its central pass ranks each
+vertex's candidates once.
 """
 
 from __future__ import annotations
@@ -248,10 +254,11 @@ def approx_b_matching(graph: Graph, b, epsilon, config: ClusterConfig | None = N
         return cfg.budget_multiplier * 10 * pushes * cfg.eta + 6 * graph.m + 4 * graph.n
 
     cfg = config or cluster_config(max(2, graph.n), graph.m, budget, **kw)
-    return run_with_retries(cfg, lambda cluster: _bmatching_attempt(graph, caps, epsilon, cluster))
+    intw = _scaled_weights(graph)
+    return run_with_retries(cfg, lambda cluster: _bmatching_attempt(graph, intw, caps, epsilon, cluster))
 
 
-def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster: Cluster):
+def _bmatching_attempt(graph: Graph, intw: list[int], caps: list[int], epsilon: Fraction, cluster: Cluster):
     cfg = cluster.config
     m_count = cfg.machine_count
     eta = cfg.eta
@@ -265,9 +272,10 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
     sample_cap = [max(1, math.ceil(caps[v] * ln_inv_delta * n_mu)) for v in range(n)]
 
     adj: dict[int, list] = {v: [] for v in range(n)}
-    for eid, (u, v, w) in enumerate(graph.edges):
-        adj[u].append((eid, u, v, w))
-        adj[v].append((eid, u, v, w))
+    for eid, (u, v, _) in enumerate(graph.edges):
+        rec = (eid, u, v, intw[eid])
+        adj[u].append(rec)
+        adj[v].append(rec)
     for mid in range(m_count):
         own = {v: tuple(adj[v]) for v in range(mid, n, m_count)}
         size = sum(1 + 4 * len(lst) for lst in own.values())
@@ -281,7 +289,7 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
     iterations = 0
     e_series = [e_size]
     push_order: list[int] = []
-    one_plus_eps = 1 + epsilon
+    heavy = _heavy_test(1 + epsilon)
 
     while e_size > 0:
         iterations += 1
@@ -297,8 +305,7 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
                 alive = [
                     rec
                     for rec in incident
-                    if rec[0] not in pushed
-                    and rec[3] > one_plus_eps * (phi.get(rec[1], 0) + phi.get(rec[2], 0))
+                    if rec[0] not in pushed and heavy(rec[3], phi.get(rec[1], 0), phi.get(rec[2], 0))
                 ]
                 if not alive:
                     continue
@@ -317,23 +324,7 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
             lists = dict(gather(inbox, "Ev"))
             pushes = []
             for v in sorted(lists):
-                count = 0
-                candidates = list(lists[v])
-                while count < push_cap[v]:
-                    best = None
-                    best_key = None
-                    for eid, a, b2, w in candidates:
-                        if not red.alive(eid, a, b2, w):
-                            continue
-                        g = red.gain(a, b2, w)
-                        if best_key is None or (g, -eid) > best_key:
-                            best_key = (g, -eid)
-                            best = (eid, a, b2, w)
-                    if best is None:
-                        break
-                    red.push(*best)
-                    pushes.append(best[0])
-                    count += 1
+                pushes += _push_best(red, lists[v], push_cap[v], heavy)
             return _publish(store, red, pushes, graph, m_count)
 
         cluster.run_round(central_step, label=f"bmatch[{iterations}]:central")
@@ -345,9 +336,8 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
             count = 0
             for v, incident in store["adj"].value.items():
                 for eid, a, b2, w in incident:
-                    if v == min(a, b2) and eid not in pushed:
-                        if w > one_plus_eps * (phi.get(a, 0) + phi.get(b2, 0)):
-                            count += 1
+                    if v == min(a, b2) and eid not in pushed and heavy(w, phi.get(a, 0), phi.get(b2, 0)):
+                        count += 1
             return {
                 **store,
                 "phi": Payload(phi, 2 * len(phi)),
@@ -363,3 +353,40 @@ def _bmatching_attempt(graph: Graph, caps: list[int], epsilon: Fraction, cluster
     matching = make_matching(graph, ids, caps)
     extras = {"e_series": e_series, "push_order": push_order}
     return matching, iterations, extras
+
+
+def _heavy_test(one_plus_eps: Fraction):
+    """The b-matching alive test ``w > (1+eps)(phi_a + phi_b)`` for an int
+    weight w and Fraction or int phi values, without building a Fraction:
+    with 1+eps = r/s, phi_a = na/da and phi_b = nb/db it is
+    ``w*s*da*db > r*(na*db + nb*da)``."""
+    r, s = one_plus_eps.numerator, one_plus_eps.denominator
+
+    def heavy(w: int, pa, pb) -> bool:
+        da, db = pa.denominator, pb.denominator
+        return w * s * da * db > r * (pa.numerator * db + pb.numerator * da)
+
+    return heavy
+
+
+def _push_best(red: MatchingReduction, candidates, quota: int, heavy) -> list[int]:
+    """Push up to ``quota`` of one vertex v's candidate records, each time
+    the alive one of largest (gain, -eid), gain = w - phi[a] - phi[b];
+    returns the pushed ids.
+
+    A push at v lowers the gain of every other candidate of v by the same
+    amount, so one ranking serves the whole loop.  Pushes only raise phi,
+    so a candidate dead now stays dead, and each one is tested again when
+    its turn comes.
+    """
+    phi, pushed = red.phi, red.pushed
+    alive = [rec for rec in candidates if rec[0] not in pushed and heavy(rec[3], phi[rec[1]], phi[rec[2]])]
+    alive.sort(key=lambda rec: (rec[3] - phi[rec[1]] - phi[rec[2]], -rec[0]), reverse=True)
+    out = []
+    for eid, a, b2, w in alive:
+        if len(out) == quota:
+            break
+        if eid not in pushed and heavy(w, phi[a], phi[b2]):
+            red.push(eid, a, b2, w)
+            out.append(eid)
+    return out

@@ -140,6 +140,9 @@ BAD_SOLUTIONS = {
     "edge colouring under colour-v": ("colour-v", "colouring edge 2\n0 0 0\n1 0 1\n", []),
     "matching under mis-fast": ("mis-fast", "matching\nweight 5\n0\n", []),
     "mis under match-2": ("match-2", "mis\n0\n2\n", []),
+    "mis header with a count": ("mis-fast", "mis 7\n0\n2\n", []),
+    "matching header with a count": ("match-2", "matching 1\nweight 5\n0\n", []),
+    "colouring header with two counts": ("colour-v", "colouring vertex 2 2\n0 0 0\n1 0 1\n2 0 0\n", []),
 }
 
 

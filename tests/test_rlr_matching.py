@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from conftest import random_graph
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
-from mpcgraph.oracles import brute_force, lr_bmatching_seq, lr_matching_seq
-from mpcgraph.rlr_matching import _scaled_weights, approx_b_matching, approx_max_matching
+from mpcgraph.oracles import MatchingReduction, brute_force, lr_bmatching_seq, lr_matching_seq
+from mpcgraph.rlr_matching import (
+    _heavy_test,
+    _push_best,
+    _scaled_weights,
+    approx_b_matching,
+    approx_max_matching,
+)
 
 
 def test_p3_every_seed_gives_opt():
@@ -176,6 +182,17 @@ def test_bmatching_replay():
         res = approx_b_matching(g, b, eps, seed=rng.randint(0, 99))
         replay = lr_bmatching_seq(g, b, eps, res.extras["push_order"])
         assert replay.edge_ids == res.value.edge_ids
+    # Fractional weights and per-vertex capacities, in the full branch and
+    # (eta=2, with the budget lifted) the sampled one.
+    for trial in range(12):
+        g = random_graph(rng, rng.randint(3, 12), 30)
+        g = make_graph(g.n, [(u, v, w / rng.randint(2, 7)) for u, v, w in g.edges])
+        caps = [rng.choice([1, 2, 3]) for _ in range(g.n)]
+        eps = rng.choice([Fraction(1, 10), Fraction(1, 3), Fraction(3, 2)])
+        sampled = {"eta": 2, "mu": "1/10", "memory_budget_words": 10**6} if trial % 2 else {}
+        res = approx_b_matching(g, caps, eps, seed=rng.randint(0, 99), **sampled)
+        replay = lr_bmatching_seq(g, caps, eps, res.extras["push_order"])
+        assert replay.edge_ids == res.value.edge_ids
 
 
 def test_per_vertex_capacities():
@@ -201,3 +218,69 @@ def test_scaled_weights_match_fraction_scaling(weights):
     for w in weights:
         scale = scale * w.denominator // math.gcd(scale, w.denominator)
     assert _scaled_weights(g) == [int(w * scale) for w in weights]
+
+
+# phi values as the b-matching reduction holds them: the int 0 it starts
+# from, or exact non-negative rationals (small denominators make ties).
+PHIS = st.one_of(
+    st.just(0),
+    st.fractions(min_value=0, max_value=20, max_denominator=6),
+    st.fractions(min_value=0, max_denominator=10**9),
+)
+EPSILONS = st.one_of(
+    st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(3, 2)]),
+    st.fractions(min_value=Fraction(1, 10**12), max_value=10, max_denominator=10**12),
+)
+
+
+@given(PHIS, PHIS, EPSILONS, st.integers(0, 10**6), st.integers(-1, 1))
+def test_integer_alive_test_equals_fraction_expression(pa, pb, eps, w, offset):
+    heavy = _heavy_test(1 + eps)
+    threshold = (1 + eps) * (pa + pb)
+    # w itself, and the ints next to the threshold, where the test flips
+    for weight in (w, max(0, math.floor(threshold) + offset)):
+        assert heavy(weight, pa, pb) == (weight > threshold)
+
+
+def _push_best_by_rescan(red: MatchingReduction, candidates, quota: int) -> list[int]:
+    """The central pass as written in the paper: rescan every candidate
+    for the alive one of largest (gain, -eid), in Fraction arithmetic."""
+    out = []
+    while len(out) < quota:
+        alive = [rec for rec in candidates if red.alive(*rec)]
+        if not alive:
+            break
+        best = max(alive, key=lambda rec: (red.gain(rec[1], rec[2], rec[3]), -rec[0]))
+        red.push(*best)
+        out.append(best[0])
+    return out
+
+
+@st.composite
+def vertex_pushes(draw):
+    """One vertex's candidates, with the reduction state they meet."""
+    n = draw(st.integers(2, 9))
+    v = draw(st.integers(0, n - 1))
+    others = draw(st.lists(st.integers(0, n - 1).filter(lambda y: y != v), unique=True))
+    eids = draw(st.lists(st.integers(0, 99), min_size=len(others), max_size=len(others), unique=True))
+    candidates = [(eid, min(v, y), max(v, y), draw(st.integers(0, 40))) for eid, y in zip(eids, others)]
+    caps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    phi = draw(st.lists(PHIS, min_size=n, max_size=n))
+    pushed = draw(st.sets(st.sampled_from(eids))) if eids else set()
+    return candidates, caps, phi, pushed, draw(EPSILONS), draw(st.integers(1, 5))
+
+
+@given(vertex_pushes())
+def test_one_ranking_per_vertex_equals_rescanning(case):
+    # The integer alive test and one (gain, -eid) ranking per vertex push
+    # the same edges, in the same order, to the same phi as the rescan.
+    candidates, caps, phi, pushed, eps, quota = case
+    reds = []
+    for _ in range(2):
+        red = MatchingReduction(len(caps), caps, eps)
+        red.phi = list(phi)
+        red.pushed = set(pushed)
+        reds.append(red)
+    fast = _push_best(reds[0], candidates, quota, _heavy_test(1 + eps))
+    assert fast == _push_best_by_rescan(reds[1], candidates, quota)
+    assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
