@@ -227,13 +227,12 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
     """
     n, m = graph.n, graph.m
     palette = graph.max_degree + 1
-    ends = [(u, v) for u, v, _ in graph.edges]
-    far = [u ^ v for u, v in ends]  # far[eid] ^ x is the end of eid other than x
+    edges = graph.edges
     colour = [0] * m
     used: list[dict[int, int]] = [dict() for _ in range(n)]
 
     def set_colour(eid: int, c: int) -> None:
-        u, v = ends[eid]
+        u, v, _ = edges[eid]
         old = colour[eid]
         if old:
             del used[u][old]
@@ -259,7 +258,8 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
             if e is None:
                 break
             path.append((e, want))
-            v = far[e] ^ v
+            a, b, _ = edges[e]
+            v = b if v == a else a
             want = c if want == d else d
         for e, _ in path:
             set_colour(e, 0)
@@ -267,7 +267,7 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
             set_colour(e, c if had == d else d)
 
     for e0 in range(m):
-        x, f = ends[e0]
+        x, f, _ = edges[e0]
         fan = [(e0, f)]
         # x's coloured edges (colour, edge), ascending by colour.  Their far
         # ends are distinct and none is f, so an edge leaves the list when
@@ -277,7 +277,8 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
             busy = used[fan[-1][1]]
             for i, (c, e) in enumerate(spokes):
                 if c not in busy:
-                    fan.append((e, far[e] ^ x))
+                    a, b, _ = edges[e]
+                    fan.append((e, b if x == a else a))
                     del spokes[i]
                     break
             else:
