@@ -243,12 +243,10 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
             used[v][c] = eid
 
     def free_colour(v: int) -> int:
-        c = 1
-        while c in used[v]:
-            c += 1
-        if c > palette:
-            raise AssertionError("no free colour within Delta+1 palette")
-        return c
+        for c in range(1, palette + 1):
+            if c not in used[v]:
+                return c
+        raise AssertionError("no free colour within Delta+1 palette")
 
     def invert_cd_path(x: int, c: int, d: int) -> None:
         path = []
