@@ -15,9 +15,11 @@ the values that are not the same objects as before are sized again.  So a
 step must never mutate a store value, or a value it has sent, in place:
 it builds a new one instead.
 
-Determinism: machine step RNGs derive from hash(seed, round, machine id)
-and inboxes are sorted by (sender, key), so traces are byte-identical for
-a fixed ClusterConfig regardless of execution order.
+Determinism: a machine step's RNG is Random(derive_seed(seed, round,
+machine id)) and inboxes are sorted by (sender, key), so traces are
+byte-identical for a fixed ClusterConfig regardless of execution order.
+The RNG hashes and seeds at its first use (``StepRandom``), so a step
+that never draws costs no seeding and sees the same stream if it does.
 """
 
 from __future__ import annotations
@@ -158,6 +160,50 @@ def derive_seed(seed: int, round_index: int, machine_id: int) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
+class StepRandom(Random):
+    """``Random(derive_seed(seed, round_index, machine_id))``, hashed and
+    seeded at its first use.
+
+    Every method that reads or replaces the generator's state goes through
+    one overridden here, which turns the object into a plain ``Random``
+    (seeded, unless the call replaces the state) and repeats the call on
+    it; from then on every call is ``Random``'s own.  A method bound
+    before that, such as the ``getrandbits`` that ``Random._randbelow``
+    binds before its loop, still runs the override after the object has
+    become a ``Random``, so the overrides reach the state through
+    ``_seeded``, a function, not through an attribute of ``self``.
+    """
+
+    def __init__(self, seed: int, round_index: int, machine_id: int):
+        self._key = (seed, round_index, machine_id)
+        self.gauss_next = None
+
+    def random(self):
+        return _seeded(self).random()
+
+    def getrandbits(self, k):
+        return _seeded(self).getrandbits(k)
+
+    def getstate(self):
+        return _seeded(self).getstate()
+
+    def seed(self, *args, **kwargs):
+        self.__class__ = Random
+        self.seed(*args, **kwargs)
+
+    def setstate(self, state):
+        self.__class__ = Random
+        self.setstate(state)
+
+
+def _seeded(rng: Random) -> Random:
+    """``rng`` as a plain ``Random``, seeded now if it is a ``StepRandom``."""
+    if type(rng) is StepRandom:
+        rng.__class__ = Random
+        rng.seed(derive_seed(*rng._key))
+    return rng
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """The (n, c, mu, eta, fanout, budget) regime of a simulated cluster.
@@ -293,11 +339,6 @@ class Cluster:
     def machine_count(self) -> int:
         return self.config.machine_count
 
-    def holds(self, mid: int, key: str) -> bool:
-        if key in self.stores[mid]:
-            return True
-        return any(k == _BC + key for _, k, _, _ in self._pending[mid])
-
     def preload(self, mid: int, key: str, value) -> None:
         """Initial input placement (before round 0); not a charged round."""
         if self.rounds:
@@ -345,7 +386,7 @@ class Cluster:
             received[mid] = in_words
             store = self.stores[mid]
             absorbed, visible, delivered = self._absorb(store, inbox)
-            rng = Random(derive_seed(self.config.seed, idx, mid))
+            rng = StepRandom(self.config.seed, idx, mid)
             result = step(mid, absorbed, tuple(visible), rng)
             new_store, outbox = result
             out_words = 0

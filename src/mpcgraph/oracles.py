@@ -285,14 +285,17 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
         d = free_colour(fan[-1][1])
         if d in used[x]:
             invert_cd_path(x, c, d)
-        # The inversion may take a fan edge's colour at the vertex before
-        # it; the fan is valid up to the first such position.
-        valid = len(fan)
-        for i in range(1, len(fan)):
-            if colour[fan[i][0]] in used[fan[i - 1][1]]:
-                valid = i
-                break
-        pick = next((j for j in range(valid) if d not in used[fan[j][1]]), None)
+        # The earliest fan position whose end has d free always lies in the
+        # prefix the inversion left a valid fan.  The inversion swaps c and
+        # d along a path that starts with x's d-edge and cannot return to x
+        # (c is free there), so it changes only c and d at any vertex and,
+        # of the fan edges (none has colour c), only x's d-edge, to c.  So
+        # the fan can break only at that edge, say fan[i + 1], and only if
+        # c is taken at fan[i]'s end.  That end had d free (the fan
+        # condition for fan[i + 1]), so it is no inner path vertex, and as
+        # the path's last one its c-edge would have turned to d, freeing c.
+        # So it is off the path, d is still free there, and pick <= i.
+        pick = next((j for j in range(len(fan)) if d not in used[fan[j][1]]), None)
         assert pick is not None, "Misra-Gries invariant: a valid fan position exists"
         for i in range(pick):
             shifted = colour[fan[i + 1][0]]

@@ -16,7 +16,9 @@ the m^mu-ary broadcast/aggregation tree and are charged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import neg
 
 from .engine import (
     Cluster,
@@ -37,14 +39,30 @@ def _set_words(instance: SetCoverInstance) -> int:
     return sum(1 + len(s) for s in instance.sets)
 
 
+def _alpha_classes(mu: Fraction) -> tuple[Fraction, int]:
+    """alpha = mu/8 and the number ceil(1/alpha) of size classes."""
+    alpha = mu / 8 if mu > 0 else Fraction(1, 8)
+    return alpha, int(-(-Fraction(1) // alpha))
+
+
+def _size_class(class_lo: list[int], classes: int, size: int) -> int:
+    """The size class of a set with ``size`` >= 1 uncovered elements: the
+    least ci in 1..classes with size >= class_lo[ci].
+
+    class_lo[1..classes] is non-increasing, so its negation is sorted and
+    a bisection finds ci; class_lo[classes] = 1 (its exponent 1 -
+    classes*alpha is <= 0), so the search stops there at the latest.
+    """
+    return bisect_left(class_lo, -size, 1, classes, key=neg)
+
+
 def _psc_budget(instance: SetCoverInstance):
     """Budget for set-sharded cover: the m^(1+mu) log n bound plus the
     resident set shards."""
 
     def budget(cfg: ClusterConfig) -> int:
         logn = max(1, math.ceil(math.log2(max(2, instance.n))))
-        alpha = cfg.mu / 8 if cfg.mu > 0 else Fraction(1, 8)
-        classes = int(-(-Fraction(1) // alpha))
+        _, classes = _alpha_classes(cfg.mu)
         return (
             cfg.budget_multiplier * (logn * cfg.eta + (classes + 2) * cfg.fanout)
             + 8 * (_set_words(instance) // cfg.machine_count + 1)
@@ -56,7 +74,12 @@ def _psc_budget(instance: SetCoverInstance):
 
 def potential_phi(instance: SetCoverInstance, covered, threshold: Fraction, epsilon) -> int:
     """Total uncovered mass of sets whose cost ratio still clears
-    threshold/(1+eps); the bucket-progress potential."""
+    threshold/(1+eps); the bucket-progress potential.
+
+    It recounts from scratch in plain ``Fraction`` arithmetic, apart from
+    the machines' integer cross-multiplied tests, so that it stays an
+    independent check of the phi the run tracks.
+    """
     epsilon = Fraction(epsilon)
     cset = set(covered)
     cut = Fraction(threshold) / (1 + epsilon)
@@ -89,14 +112,14 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
     m_count = cfg.machine_count
     m = max(2, instance.m)
     mu = cfg.mu
-    alpha = mu / 8 if mu > 0 else Fraction(1, 8)
-    classes = int(-(-Fraction(1) // alpha))
+    half_mu = mu / 2
+    alpha, classes = _alpha_classes(mu)
     class_lo = [pow_threshold(m, 1 - i * alpha) for i in range(classes + 2)]
     group_counts = [2 * ipow_ceil(m, (i + 1) * alpha) for i in range(classes + 2)]
     # Real-valued m^(mu/2): this is a sampling rate, only the q = 1 branch
     # needs the exact comparison.
-    quota_real = float(m) ** float(mu / 2)
-    quota_exact = ipow_floor(m, mu / 2) if mu > 0 else 1
+    quota_real = float(m) ** float(half_mu)
+    quota_exact = ipow_floor(m, half_mu) if mu > 0 else 1
     add_thr = [pow_threshold(m, 1 - (i + 1) * alpha) for i in range(classes + 2)]
 
     for mid in range(m_count):
@@ -151,10 +174,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
             size = len(uncov[i])
             # size/w >= cut, by integer cross-multiplication
             if size and size * cut_d * w.denominator >= cut_n * w.numerator:
-                for ci in range(1, classes + 1):
-                    if size >= class_lo[ci]:
-                        yield i, size, ci
-                        break
+                yield i, size, _size_class(class_lo, classes, size)
 
     while covered_total < instance.m:
         cut = level / one_plus
@@ -217,10 +237,9 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                     return out
 
                 gcounts, _ = cluster.aggregate("gcounts", merge_counts, label=f"psc[{iterations}]:gcheck")
-                oversized = any(
-                    exceeds_pow(c, 4, m, mu / 2) if mu > 0 else c > 4
-                    for c in gcounts.values()
-                )
+                # c > 4*m^(mu/2) is monotone in c: test the largest group.
+                biggest = max(gcounts.values(), default=0)
+                oversized = exceeds_pow(biggest, 4, m, half_mu) if mu > 0 else biggest > 4
                 cluster.broadcast("verdict", not oversized, label=f"psc[{iterations}]:verdict")
                 if not oversized:
                     break
@@ -249,11 +268,15 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                             groups.setdefault((ci, j), []).append((i, w, elems))
                 cset = set(store["C"].value)
                 added: list[int] = []
+                cut_n, cut_d = cut.numerator, cut.denominator
 
                 def try_group(members, thr):
                     for i, w, elems in sorted(members):
                         fresh = [e for e in elems if e not in cset]
-                        if 2 * len(fresh) >= thr and fresh and Fraction(len(fresh)) / w >= cut:
+                        # thr >= 1, so fresh is non-empty; then len/w >= cut
+                        # by integer cross-multiplication.
+                        size = len(fresh)
+                        if 2 * size >= thr and size * cut_d * w.denominator >= cut_n * w.numerator:
                             added.append(i)
                             cset.update(fresh)
                             return True

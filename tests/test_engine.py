@@ -1,6 +1,7 @@
 import json
 from collections import namedtuple
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from mpcgraph.engine import (
     OversizedMessage,
     Payload,
     RetriesExhausted,
+    StepRandom,
     WhpFailure,
     cluster_config,
     derive_seed,
@@ -19,6 +21,7 @@ from mpcgraph.engine import (
     store_words,
     words,
 )
+from mpcgraph.instances import _binomial
 
 
 def idle(mid, store, inbox, rng):
@@ -126,13 +129,19 @@ def test_round_indices_strictly_increase():
     assert [r.index for r in cl.rounds] == [0, 1, 2, 3]
 
 
+def holds(cl: Cluster, mid: int, key: str) -> bool:
+    """``key`` sits in machine ``mid``'s store or in a broadcast message on
+    its way to that machine's inbox."""
+    return key in cl.stores[mid] or any(k == "bc:" + key for _, k, _, _ in cl._pending[mid])
+
+
 def test_broadcast_round_counts():
     for machines, fanout, expect in ((9, 3, 2), (1, 3, 0), (100, 10, 2), (11, 10, 2), (5, 2, 3)):
         cl = Cluster(cfg(machines, fanout=fanout))
         cl.stores[0]["p"] = Payload("hello")
         rounds = cl.broadcast("p", Payload("hello"))
         assert rounds == expect
-        assert all(cl.holds(m, "p") for m in range(machines))
+        assert all(holds(cl, m, "p") for m in range(machines))
         # after any subsequent round, the payload is in every store
         cl.run_round(idle, "settle")
         assert all("p" in cl.stores[m] for m in range(machines))
@@ -227,6 +236,88 @@ def test_seed_changes_rng_stream():
     assert derive_seed(1, 0, 0) == derive_seed(1, 0, 0)
 
 
+# Arguments of each draw, from one small integer k.
+_DRAW_ARGS = {
+    "random": lambda k: (),
+    "getrandbits": lambda k: (k + 1,),
+    "randrange": lambda k: (3**k + 1,),
+    "randint": lambda k: (-k, k),
+    "sample": lambda k: (range(k + 5), min(k, 5)),
+    "choice": lambda k: (range(k + 1),),
+    "shuffle": lambda k: (list(range(k)),),
+}
+
+
+def _draw(rng, bound: dict, name: str, k: int):
+    """One draw from ``rng``, through the method in ``bound`` if it holds one."""
+    if name == "binomial":
+        return _binomial(rng, 10 * k, 0.3)
+    args = _DRAW_ARGS[name](k)
+    result = bound.get(name, getattr(rng, name))(*args)
+    return args[0] if name == "shuffle" else result
+
+
+@given(
+    st.integers(0, 2**40),
+    st.integers(0, 10**5),
+    st.integers(0, 500),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_DRAW_ARGS) + ["binomial"]), st.integers(0, 70), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_step_random_draws_like_an_eagerly_seeded_random(seed, round_index, mid, draws):
+    """Every draw, also through a method bound before the first one, equals
+    the draw from Random(derive_seed(...)); so does the state after."""
+    lazy = StepRandom(seed, round_index, mid)
+    early = {name: getattr(lazy, name) for name in _DRAW_ARGS}
+    eager = Random(derive_seed(seed, round_index, mid))
+    for name, k, through_early in draws:
+        got = _draw(lazy, early if through_early else {}, name, k)
+        assert got == _draw(eager, {}, name, k)
+    assert lazy.getstate() == eager.getstate()
+
+
+def test_step_random_state_methods():
+    eager = Random(derive_seed(3, 4, 5))
+    assert StepRandom(3, 4, 5).getstate() == eager.getstate()
+    reseeded = StepRandom(3, 4, 5)
+    reseeded.seed(11)
+    assert reseeded.random() == Random(11).random()
+    restored = StepRandom(3, 4, 5)
+    restored.setstate(Random(12).getstate())
+    assert restored.random() == Random(12).random()
+
+
+def test_round_that_ignores_rng_matches_one_that_draws():
+    """A step that never touches its RNG leaves the round record and the
+    next round's draws as they are when it draws and discards."""
+
+    def ignoring(mid, store, inbox, rng):
+        return {**store, "v": mid}, [((mid + 1) % 3, "x", mid)]
+
+    def drawing(mid, store, inbox, rng):
+        rng.random()
+        return ignoring(mid, store, inbox, rng)
+
+    def sampling(mid, store, inbox, rng):
+        return {**store, "draws": (rng.random(), rng.randrange(10**9))}, []
+
+    outcomes = []
+    for first in (ignoring, drawing):
+        cl = Cluster(cfg(3, seed=7))
+        record = cl.run_round(first, "first")
+        cl.run_round(sampling, "next")
+        outcomes.append((record, [s["draws"] for s in cl.stores]))
+    assert outcomes[0] == outcomes[1]
+    expected = []
+    for mid in range(3):
+        rng = Random(derive_seed(7, 1, mid))
+        expected.append((rng.random(), rng.randrange(10**9)))
+    assert outcomes[0][1] == expected
+
+
 def test_accounting_soundness_shadow_counter():
     """Engine-reported peak upper-bounds an independent recomputation of
     every checkpoint footprint."""
@@ -262,8 +353,6 @@ def test_pure_step_replay():
 
     cl = Cluster(cfg(2, seed=31))
     cl.run_round(step)
-    from random import Random
-
     replay_rng = Random(derive_seed(31, 0, 1))
     new_store, outbox = step(1, {}, (), replay_rng)
     assert new_store["draw"] == cl.stores[1]["draw"]

@@ -3,11 +3,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mpcgraph.exactmath import harmonic
+from mpcgraph.exactmath import harmonic, pow_threshold
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
 from mpcgraph.oracles import brute_force
-from mpcgraph.parallel_setcover import approx_sc_lnDelta, potential_phi
+from mpcgraph.parallel_setcover import _alpha_classes, _size_class, approx_sc_lnDelta, potential_phi
 
 
 def test_single_set_instance():
@@ -133,3 +135,19 @@ def test_psc_config_scale_is_ground_set():
     cfg = approx_sc_lnDelta(inst, Fraction(1, 10), mu="1/5", seed=0).cluster.config
     assert cfg.n == 16  # scale parameter is m
     assert cfg.fanout >= 2
+
+
+@given(
+    st.integers(2, 10**6),
+    st.sampled_from(["1/10", "1/5", "1/4", "1/3", "1/2", "2/3", "1", "3/2"]),
+    st.data(),
+)
+def test_size_class_bisect_equals_linear_scan(m, mu, data):
+    alpha, classes = _alpha_classes(Fraction(mu))
+    class_lo = [pow_threshold(m, 1 - i * alpha) for i in range(classes + 2)]
+    # Every class bound, its neighbours, and uncovered sizes drawn up to m.
+    sizes = {s for lo in class_lo for s in (lo - 1, lo, lo + 1) if 1 <= s <= m}
+    sizes.update(data.draw(st.lists(st.integers(1, m), max_size=20)))
+    for size in sizes:
+        linear = next(ci for ci in range(1, classes + 1) if size >= class_lo[ci])
+        assert _size_class(class_lo, classes, size) == linear
