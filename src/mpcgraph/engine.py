@@ -174,6 +174,14 @@ class StepRandom(Random):
     ``_seeded``, a function, not through an attribute of ``self``.
     """
 
+    def __new__(cls, seed: int, round_index: int, machine_id: int):
+        # Up to CPython 3.10 ``Random.__new__`` takes the constructor's
+        # arguments, accepts at most one and seeds with it (from system
+        # entropy if none is given); 3.11 moved seeding into ``__init__``.
+        # A constant seed keeps construction cheap on both: the state it
+        # sets is never read, as every read goes through ``_seeded``.
+        return super().__new__(cls, 0)
+
     def __init__(self, seed: int, round_index: int, machine_id: int):
         self._key = (seed, round_index, machine_id)
         self.gauss_next = None

@@ -221,9 +221,10 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
 
     Deterministic: edges are processed in id order, fans extend with the
     lowest feasible colour, and the recolouring vertex is the earliest
-    valid fan position.  A fan step scans only the colours in use at x,
-    and the valid fan prefix is found in one pass after the path
-    inversion, so no step walks the whole palette.
+    valid fan position.  A fan step scans only the colours in use at x.
+    After the path inversion the earliest fan position whose end has d
+    free is used directly, with no scan for the prefix that is still a
+    valid fan: the comment at that step shows it always lies there.
     """
     n, m = graph.n, graph.m
     palette = graph.max_degree + 1

@@ -290,6 +290,22 @@ def test_step_random_state_methods():
     assert restored.random() == Random(12).random()
 
 
+def test_step_random_builds_where_random_new_takes_the_seed():
+    """Up to CPython 3.10, ``Random.__new__`` receives the constructor's
+    arguments and rejects more than one; StepRandom's three must not reach it."""
+
+    class SeedsInNew(Random):
+        def __new__(cls, *args):
+            if len(args) > 1:
+                raise TypeError("Random() requires 0 or 1 argument")
+            return super().__new__(cls, *args)
+
+    class Probe(StepRandom, SeedsInNew):
+        pass
+
+    assert Probe(3, 4, 5)._key == (3, 4, 5)
+
+
 def test_round_that_ignores_rng_matches_one_that_draws():
     """A step that never touches its RNG leaves the round record and the
     next round's draws as they are when it draws and discards."""
