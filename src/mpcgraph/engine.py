@@ -7,24 +7,37 @@ Every payload is sized in words (one word per integer/rational/id) and
 checked against the per-machine budget; violations abort the run with the
 trace preserved.
 
+Two kinds of message travel.  A plain message, sent by a step of an
+ordinary round, is stored once, as the (sender, key, value) its receiver
+sees in its inbox, whatever its key.  An engine delivery is what the
+waves of ``broadcast`` and ``aggregate`` send (keys "bc:<name>" and
+"agg:<name>"); it goes to a separate list and lands in its receiver's
+store instead (a broadcast payload, or a fold part).
+
 Accounting is proportional to what changed.  Each message is sized once,
-at send, and carries that size to its receiver's inbox and, for broadcast
-payloads and aggregate parts, into its store.  Each machine keeps the size
-of every store value it has seen; when a step returns a new store, only
-the values that are not the same objects as before are sized again.  So a
-step must never mutate a store value, or a value it has sent, in place:
-it builds a new one instead.
+at send: its words are added to its receiver's in-flight total, and a
+delivery also carries its size into the store.  Each machine keeps the
+size of every store value it has seen; when a step returns a new store,
+only the values that are not the same objects as before are sized again.
+So a step must never mutate a store value, or a value it has sent, in
+place: it builds a new one instead.
 
 Determinism: a machine step's RNG is Random(derive_seed(seed, round,
 machine id)) and inboxes are sorted by (sender, key), so traces are
 byte-identical for a fixed ClusterConfig regardless of execution order.
 The RNG hashes and seeds at its first use (``StepRandom``), so a step
 that never draws costs no seeding and sees the same stream if it does.
+
+``run_with_retries`` pauses Python's cyclic garbage collector for a whole
+run.  That is safe because the messages, stores and records a run makes
+form no reference cycles: reference counting frees each as it dies, and
+the collector would only walk the many live ones again and again.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -320,7 +333,7 @@ class RoundRecord:
         return base
 
 
-# Message key prefixes handled by the engine's delivery layer.
+# Key prefixes of the engine deliveries that broadcast and aggregate send.
 _BC = "bc:"
 _AGG = "agg:"
 _BY_SENDER_KEY = itemgetter(0, 1)
@@ -336,8 +349,16 @@ class Cluster:
         self._store_words: list[int] = [0] * m
         # Per machine: store key -> (value, its word size).
         self._sizes: list[dict] = [dict() for _ in range(m)]
-        # Per destination: (sender, key, value, word size) sent this round.
-        self._pending: list[list[tuple[int, str, object, int]]] = [[] for _ in range(m)]
+        # Per destination, what was sent to it this round: the plain messages
+        # (sender, key, value), exactly as its next step will see them; the
+        # engine deliveries (sender, "bc:"/"agg:" key, value, word size) of
+        # a collective wave; and the words of both together.
+        self._pending: list[list[tuple[int, str, object]]] = [[] for _ in range(m)]
+        self._deliveries: list[list[tuple[int, str, object, int]]] = [[] for _ in range(m)]
+        self._pending_words: list[int] = [0] * m
+        # Set while broadcast/aggregate run their waves: what those steps
+        # send goes to the deliveries.
+        self._delivering = False
         self.rounds: list[RoundRecord] = []
         self._order = list(range(m)) if exec_order is None else list(exec_order)
 
@@ -378,9 +399,12 @@ class Cluster:
         idx = len(self.rounds)
         m = self.config.machine_count
         budget = self.config.memory_budget_words
-        inboxes = self._pending
+        inboxes, deliveries, received = self._pending, self._deliveries, self._pending_words
         self._pending = [[] for _ in range(m)]
-        received = [0] * m
+        self._deliveries = [[] for _ in range(m)]
+        pending_words = self._pending_words = [0] * m
+        delivering = self._delivering
+        outgoing = self._deliveries if delivering else self._pending
         sent = [0] * m
         peaks = [0] * m
         messages = 0
@@ -389,28 +413,35 @@ class Cluster:
         new_words: list[int] = list(self._store_words)
 
         for mid in self._order:
-            inbox = sorted(inboxes[mid], key=_BY_SENDER_KEY)
-            in_words = sum(t[3] for t in inbox)
-            received[mid] = in_words
-            store = self.stores[mid]
-            absorbed, visible, delivered = self._absorb(store, inbox)
+            inbox = inboxes[mid]
+            inbox.sort(key=_BY_SENDER_KEY)
+            in_words = received[mid]
+            store = absorbed = self.stores[mid]
+            delivered = None
+            if deliveries[mid]:
+                absorbed, delivered = self._absorb(store, deliveries[mid])
             rng = StepRandom(self.config.seed, idx, mid)
-            result = step(mid, absorbed, tuple(visible), rng)
+            result = step(mid, absorbed, tuple(inbox), rng)
             new_store, outbox = result
             out_words = 0
             for dst, key, value in outbox:
                 if not (0 <= dst < m):
                     raise ValueError(f"message to unknown machine {dst}")
-                size = words(value)
+                size = 1 if type(value) in _SCALARS else words(value)
                 out_words += size
-                self._pending[dst].append((mid, key, value, size))
+                pending_words[dst] += size
+                if delivering:
+                    outgoing[dst].append((mid, key, value, size))
+                else:
+                    outgoing[dst].append((mid, key, value))
                 messages += 1
             sent[mid] = out_words
             before = self._store_words[mid]
             if new_store is store:
                 after = before
             else:
-                self._sizes[mid].update(delivered)
+                if delivered:
+                    self._sizes[mid].update(delivered)
                 after = self._sized(mid, new_store)
             peak = max(before + in_words, after + out_words)
             peaks[mid] = peak
@@ -455,31 +486,36 @@ class Cluster:
         return total
 
     @staticmethod
-    def _absorb(store: dict, inbox: list) -> tuple[dict, list, dict]:
-        """Apply engine-level deliveries (broadcast payloads, fold parts).
+    def _absorb(store: dict, deliveries: list) -> tuple[dict, dict]:
+        """Apply engine deliveries (broadcast payloads, fold parts).
 
-        Returns the store the step sees, the messages it sees, and the
-        (value, words) of every store key the deliveries wrote, from the
-        sizes the messages carry.
+        Returns the store the step sees and the (value, words) of every
+        store key the deliveries wrote, from the sizes the deliveries carry.
         """
+        deliveries.sort(key=_BY_SENDER_KEY)
         delivered: dict[str, tuple] = {}
-        visible = []
-        for sender, key, value, size in inbox:
+        for _, key, value, size in deliveries:
             if key.startswith(_BC):
                 delivered[key[len(_BC) :]] = (value, size)
-            elif key.startswith(_AGG):
+            else:
                 name = key[len(_AGG) :] + "__parts"
                 parts, total = delivered.get(name) or ([], 0)
                 parts.append(value)
                 delivered[name] = (parts, total + size)
-            else:
-                visible.append((sender, key, value))
-        if not delivered:
-            return store, visible, delivered
         staged = dict(store)
         for name, (value, _) in delivered.items():
             staged[name] = value
-        return staged, visible, delivered
+        return staged, delivered
+
+    def _waves(self, make_step: Callable, depth: int, label: str) -> None:
+        """Run a collective's ``depth`` waves; what their steps send are
+        engine deliveries."""
+        self._delivering = True
+        try:
+            for wave in range(1, depth + 1):
+                self.run_round(make_step(wave), label=f"{label}[{wave}/{depth}]")
+        finally:
+            self._delivering = False
 
     # -- collective operations ---------------------------------------------
 
@@ -517,8 +553,7 @@ class Cluster:
 
             return bstep
 
-        for wave in range(1, depth + 1):
-            self.run_round(make_step(wave), label=f"{label}[{wave}/{depth}]")
+        self._waves(make_step, depth, label)
         return depth
 
     def aggregate(self, key: str, combine: Callable, label: str = "aggregate"):
@@ -563,10 +598,9 @@ class Cluster:
 
             return astep
 
-        for wave in range(1, depth + 1):
-            self.run_round(make_step(wave), label=f"{label}[{wave}/{depth}]")
+        self._waves(make_step, depth, label)
         value = self.stores[0][key]
-        for _, k2, v, _ in self._pending[0]:
+        for _, k2, v, _ in self._deliveries[0]:
             if k2 == _AGG + key:
                 value = combine(value, v)
         return value, depth
@@ -632,28 +666,37 @@ def run_with_retries(config: ClusterConfig, attempt: Callable) -> RunResult:
 
     Failure events (declared fail lines, memory faults) restart with seed+1
     up to config.retry_cap extra attempts; each attempt is recorded.
+
+    The cyclic garbage collector is paused for the whole run (see the
+    module docstring) and turned back on afterwards if it was on.
     """
     attempts: list[AttemptRecord] = []
     level = trace_level()
-    for k in range(config.retry_cap + 1):
-        cfg = replace(config, seed=config.seed + k)
-        cluster = Cluster(cfg)
-        failure = None
-        try:
-            value, iterations, extras = attempt(cluster)
-        except (WhpFailure, EngineFailure) as exc:
-            failure = str(exc) or exc.__class__.__name__
-        attempts.append(
-            AttemptRecord(
-                seed=cfg.seed,
-                failure=failure,
-                total_rounds=cluster.total_rounds(),
-                peak_words=cluster.peak_words(),
-                rounds=cluster.trace_rounds(level),
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for k in range(config.retry_cap + 1):
+            cfg = replace(config, seed=config.seed + k)
+            cluster = Cluster(cfg)
+            failure = None
+            try:
+                value, iterations, extras = attempt(cluster)
+            except (WhpFailure, EngineFailure) as exc:
+                failure = str(exc) or exc.__class__.__name__
+            attempts.append(
+                AttemptRecord(
+                    seed=cfg.seed,
+                    failure=failure,
+                    total_rounds=cluster.total_rounds(),
+                    peak_words=cluster.peak_words(),
+                    rounds=cluster.trace_rounds(level),
+                )
             )
-        )
-        if failure is None:
-            return RunResult(value=value, cluster=cluster, attempts=attempts, iterations=iterations, extras=extras)
+            if failure is None:
+                return RunResult(value=value, cluster=cluster, attempts=attempts, iterations=iterations, extras=extras)
+    finally:
+        if collecting:
+            gc.enable()
     raise RetriesExhausted(attempts)
 
 

@@ -8,7 +8,9 @@ depend on floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import neg
 
 
 def as_fraction(value) -> Fraction:
@@ -92,6 +94,18 @@ def exceeds_pow(value: int, coeff: int, base: int, exponent: Fraction) -> bool:
     if value < 0:
         return False
     return value**q > coeff**q * base**p
+
+
+def size_class(class_lo: list[int], classes: int, size: int) -> int:
+    """The class of a count ``size`` >= 1: the least ci in 1..classes with
+    size >= class_lo[ci].
+
+    class_lo[ci] is pow_threshold(base, 1 - ci*alpha) with classes*alpha
+    >= 1, so class_lo[1..classes] is non-increasing and its negation is
+    sorted, and class_lo[classes] = 1 stops the bisection there at the
+    latest.
+    """
+    return bisect_left(class_lo, -size, 1, classes, key=neg)
 
 
 def log_ceil(count: int, base: int) -> int:

@@ -34,7 +34,7 @@ from .engine import (
     gather_concat,
     run_with_retries,
 )
-from .exactmath import ipow_ceil, ipow_floor, pow_threshold
+from .exactmath import ipow_ceil, ipow_floor, pow_threshold, size_class
 from .instances import Graph
 
 
@@ -375,12 +375,8 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
         by_class: dict[int, list] = {}
         for v in sorted(alive):
             d = len(anbrs[v])
-            if d == 0:
-                continue
-            for i in range(1, classes + 1):
-                if d >= class_lo[i]:
-                    by_class.setdefault(i, []).append(v)
-                    break
+            if d:
+                by_class.setdefault(size_class(class_lo, classes, d), []).append(v)
         out = []
         for i, members in sorted(by_class.items()):
             gids = [(i, j) for j in range(group_counts[i])]
@@ -422,7 +418,7 @@ def maximal_clique(graph: Graph, config: ClusterConfig | None = None, **kw) -> R
 
 
 def _comp_degree(own_adj, actives_set, v) -> int:
-    return len(actives_set) - 1 - sum(1 for u in own_adj[v] if u in actives_set)
+    return len(actives_set) - 1 - len(own_adj[v] & actives_set)
 
 
 def _comp_labels(own_adj, actives_tuple, v) -> tuple:

@@ -16,9 +16,7 @@ the m^mu-ary broadcast/aggregation tree and are charged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
-from operator import neg
 
 from .engine import (
     Cluster,
@@ -30,7 +28,7 @@ from .engine import (
     gather,
     run_with_retries,
 )
-from .exactmath import exceeds_pow, ipow_ceil, ipow_floor, pow_threshold
+from .exactmath import exceeds_pow, ipow_ceil, ipow_floor, pow_threshold, size_class
 from .instances import Cover, SetCoverInstance, validate
 from .instances import _binomial
 
@@ -43,17 +41,6 @@ def _alpha_classes(mu: Fraction) -> tuple[Fraction, int]:
     """alpha = mu/8 and the number ceil(1/alpha) of size classes."""
     alpha = mu / 8 if mu > 0 else Fraction(1, 8)
     return alpha, int(-(-Fraction(1) // alpha))
-
-
-def _size_class(class_lo: list[int], classes: int, size: int) -> int:
-    """The size class of a set with ``size`` >= 1 uncovered elements: the
-    least ci in 1..classes with size >= class_lo[ci].
-
-    class_lo[1..classes] is non-increasing, so its negation is sorted and
-    a bisection finds ci; class_lo[classes] = 1 (its exponent 1 -
-    classes*alpha is <= 0), so the search stops there at the latest.
-    """
-    return bisect_left(class_lo, -size, 1, classes, key=neg)
 
 
 def _psc_budget(instance: SetCoverInstance):
@@ -174,7 +161,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
             size = len(uncov[i])
             # size/w >= cut, by integer cross-multiplication
             if size and size * cut_d * w.denominator >= cut_n * w.numerator:
-                yield i, size, _size_class(class_lo, classes, size)
+                yield i, size, size_class(class_lo, classes, size)
 
     while covered_total < instance.m:
         cut = level / one_plus

@@ -1,12 +1,15 @@
+import gc
 import json
 from collections import namedtuple
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpcgraph import cli
 from mpcgraph.engine import (
     Cluster,
     MemoryExceeded,
@@ -21,7 +24,7 @@ from mpcgraph.engine import (
     store_words,
     words,
 )
-from mpcgraph.instances import _binomial
+from mpcgraph.instances import _binomial, generate_graph, generate_set_cover
 
 
 def idle(mid, store, inbox, rng):
@@ -122,6 +125,22 @@ def test_memory_exceeded_preserves_trace():
     assert "MemoryExceeded" in cl.rounds[-1].failure
 
 
+def test_plain_messages_may_use_delivery_prefixes():
+    """Only broadcast and aggregate waves make engine deliveries; a step of
+    an ordinary round may send any key, and its receiver sees it."""
+    cl = Cluster(cfg(2))
+    cl.run_round(lambda mid, s, i, rng: (s, [(1, "bc:x", 5), (1, "agg:y", (1, 2))] if mid == 0 else []), "send")
+    seen = {}
+
+    def recv(mid, store, inbox, rng):
+        seen[mid] = (store, inbox)
+        return store, []
+
+    rec = cl.run_round(recv, "recv")
+    assert seen[1] == ({}, ((0, "agg:y", (1, 2)), (0, "bc:x", 5)))
+    assert rec.words_received == (0, 3)
+
+
 def test_round_indices_strictly_increase():
     cl = Cluster(cfg(2))
     for _ in range(4):
@@ -130,9 +149,9 @@ def test_round_indices_strictly_increase():
 
 
 def holds(cl: Cluster, mid: int, key: str) -> bool:
-    """``key`` sits in machine ``mid``'s store or in a broadcast message on
-    its way to that machine's inbox."""
-    return key in cl.stores[mid] or any(k == "bc:" + key for _, k, _, _ in cl._pending[mid])
+    """``key`` sits in machine ``mid``'s store or in a broadcast delivery
+    on its way to that machine."""
+    return key in cl.stores[mid] or any(k == "bc:" + key for _, k, _, _ in cl._deliveries[mid])
 
 
 def test_broadcast_round_counts():
@@ -396,6 +415,68 @@ def test_retry_policy():
     assert len(err.value.attempts) == 3
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("failures", [0, 1, 3])
+def test_run_with_retries_restores_gc_state(collecting, failures):
+    """The collector is off during every attempt and, after the run, as it
+    was at entry: whether the run succeeds at once, after a retry, or
+    raises RetriesExhausted."""
+    states = []
+
+    def attempt(cluster):
+        states.append(gc.isenabled())
+        if len(states) <= failures:
+            raise WhpFailure("unlucky sample")
+        return "done", 1, {}
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if failures > 2:
+            with pytest.raises(RetriesExhausted):
+                run_with_retries(cfg(1, retry_cap=2), attempt)
+        else:
+            run_with_retries(cfg(1, retry_cap=2), attempt)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states == [False] * min(failures + 1, 3)
+
+
+RUN_ARGS = SimpleNamespace(epsilon="1/10", b=2, kappa=None, vertex_weights=None)
+
+
+@pytest.mark.parametrize("failure", [None, "fail", "memory"])
+@pytest.mark.parametrize("name", sorted(cli.ALGORITHMS))
+def test_runs_leave_no_cyclic_garbage(name, failure, monkeypatch):
+    """A run, retries included, leaves nothing that only the cyclic
+    collector can free: what makes pausing it in run_with_retries safe.
+    With ``failure`` set, the first attempt fails in its third round, by a
+    declared failure or a memory fault."""
+    spec = cli.ALGORITHMS[name]
+    if spec.problem.graph_input:
+        instance = generate_graph(24, "1/2", (1, 9), seed=14)
+    else:
+        instance = generate_set_cover(10, 30, 0.2, (1, 9), seed=15)
+    run_round = Cluster.run_round
+
+    def failing(cluster, step, label=""):
+        if cluster.config.seed == 3 and len(cluster.rounds) == 2:
+            if failure == "fail":
+                cluster.fail("forced")
+            budget = cluster.config.memory_budget_words
+            step = lambda mid, store, inbox, rng: ({**store, "blob": tuple(range(budget))}, [])  # noqa: E731
+        return run_round(cluster, step, label)
+
+    if failure:
+        monkeypatch.setattr(Cluster, "run_round", failing)
+    gc.collect()
+    result = spec.run(instance, spec.problem.aux(RUN_ARGS), RUN_ARGS, {"mu": Fraction(1, 5), "seed": 3})
+    assert len(result.attempts) == (2 if failure else 1)
+    del result
+    assert gc.collect() == 0
+
+
 def test_free_broadcast_ablation():
     cl = Cluster(cfg(9, fanout=3, free_broadcast=True))
     rounds = cl.broadcast("p", Payload("x"))
@@ -421,7 +502,8 @@ def test_trace_json_shape(tmp_path):
 
 def deep_payload_audit(cluster):
     """Every cached word size must equal a from-scratch count: each
-    Payload's, each machine's store total, and each in-flight message's.
+    Payload's, each machine's store total, each in-flight delivery's and
+    each machine's in-flight total.
 
     Cached sizes stay honest only while no step mutates a store value or
     a sent value in place.
@@ -431,9 +513,19 @@ def deep_payload_audit(cluster):
             if isinstance(value, Payload):
                 assert words(value.value) == value.word_size
         assert cluster._store_words[mid] == store_words(store)
-    for box in cluster._pending:
+    for box in cluster._deliveries:
         for _, _, value, size in box:
             assert size == words(value)
+    assert cluster._pending_words == in_flight_words(cluster)
+
+
+def in_flight_words(cluster) -> list[int]:
+    """Each machine's words on their way to it, counted from scratch over
+    its plain messages and its engine deliveries."""
+    return [
+        sum(words(v) for _, _, v in plain) + sum(words(v) for _, _, v, _ in delivered)
+        for plain, delivered in zip(cluster._pending, cluster._deliveries)
+    ]
 
 
 @pytest.fixture
@@ -443,11 +535,11 @@ def audit_every_round(monkeypatch):
     run_round = Cluster.run_round
 
     def audited(cluster, step, label=""):
-        received = [sum(words(v) for _, _, v, _ in box) for box in cluster._pending]
+        received = in_flight_words(cluster)
         record = run_round(cluster, step, label)
         sent = [0] * cluster.machine_count
-        for box in cluster._pending:
-            for sender, _, value, _ in box:
+        for box in cluster._pending + cluster._deliveries:
+            for sender, _, value, *_ in box:
                 sent[sender] += words(value)
         assert record.words_received == tuple(received)
         assert record.words_sent == tuple(sent)

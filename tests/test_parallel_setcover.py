@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpcgraph.exactmath import harmonic, pow_threshold
+from mpcgraph.exactmath import harmonic, pow_threshold, size_class
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
 from mpcgraph.oracles import brute_force
-from mpcgraph.parallel_setcover import _alpha_classes, _size_class, approx_sc_lnDelta, potential_phi
+from mpcgraph.parallel_setcover import _alpha_classes, approx_sc_lnDelta, potential_phi
 
 
 def test_single_set_instance():
@@ -150,4 +150,4 @@ def test_size_class_bisect_equals_linear_scan(m, mu, data):
     sizes.update(data.draw(st.lists(st.integers(1, m), max_size=20)))
     for size in sizes:
         linear = next(ci for ci in range(1, classes + 1) if size >= class_lo[ci])
-        assert _size_class(class_lo, classes, size) == linear
+        assert size_class(class_lo, classes, size) == linear
