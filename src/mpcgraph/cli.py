@@ -352,7 +352,10 @@ def _rational(text: str, flag: str) -> Fraction:
 
 def _common(args) -> dict:
     """The regime keywords every algorithm takes."""
-    common = dict(mu=_rational(args.mu, "--mu"), seed=args.seed, retry_cap=args.retries)
+    mu = _rational(args.mu, "--mu")
+    if mu < 0:
+        raise MalformedInstance(f"--mu must be >= 0, got {args.mu!r}")
+    common = dict(mu=mu, seed=args.seed, retry_cap=args.retries)
     if args.c is not None:
         common["c"] = _rational(args.c, "--c")
     if args.eta is not None:
@@ -363,7 +366,10 @@ def _common(args) -> dict:
 def _epsilon(args, algorithm: str) -> Fraction:
     if args.epsilon is None:
         raise MalformedInstance(f"--epsilon is required for {algorithm}")
-    return _rational(args.epsilon, "--epsilon")
+    epsilon = _rational(args.epsilon, "--epsilon")
+    if epsilon <= 0:
+        raise MalformedInstance(f"--epsilon must be > 0, got {args.epsilon!r}")
+    return epsilon
 
 
 def _vertex_weights(path):

@@ -3,7 +3,7 @@
 Vertices (or edges) assign themselves uniformly to kappa = ceil(
 n^((c-mu)/2)) groups.  Per-group induced sizes are folded up the tree and
 any group exceeding the edge cap (13 n^(1+mu) by default, exposed as
-config) fails the run for an engine retry.  Each group ships its induced
+``edge_cap``) fails the run for an engine retry.  Each group ships its induced
 subgraph to a group-central machine, which colours it greedily (vertex
 mode) or with Misra-Gries (edge mode); the final colour of an item is the
 pair (group id, within-group colour).
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import Cluster, ClusterConfig, Payload, RunResult, cluster_config, gather, run_with_retries
+from .engine import BUDGET_FACTOR, Cluster, ClusterConfig, Payload, RunResult, cluster_config, gather, run_with_retries
 from .exactmath import ipow_ceil, ipow_floor
 from .instances import Colouring, Graph, make_graph
 from .oracles import misra_gries_edge_colouring_seq
@@ -22,17 +22,17 @@ from .oracles import misra_gries_edge_colouring_seq
 EDGE_CAP_FACTOR = 13
 
 
-def _run_colouring(graph: Graph, attempt, config, kappa, edge_cap, kw) -> RunResult:
+def _run_colouring(graph: Graph, attempt, kappa, edge_cap, kw) -> RunResult:
     """Build the regime (c derived from the graph unless given), then run
     ``attempt(graph, kappa, edge cap, cluster)`` with retries."""
 
     def budget(cfg: ClusterConfig) -> int:
         cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu)
         resident = 8 * ((graph.n + 2 * graph.m) // cfg.machine_count + 1)
-        return cfg.budget_multiplier * cfg.eta + 4 * cap + resident + 4 * graph.n
+        return BUDGET_FACTOR * cfg.eta + 4 * cap + resident + 4 * graph.n
 
     c = kw.pop("c", None)
-    cfg = config or cluster_config(max(2, graph.n), graph.m, budget, c=_derive_c(graph) if c is None else c, **kw)
+    cfg = cluster_config(max(2, graph.n), graph.m, budget, c=_derive_c(graph) if c is None else c, **kw)
     k = default_kappa(cfg) if kappa is None else kappa
     cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu) if edge_cap is None else edge_cap
     return run_with_retries(cfg, lambda cluster: attempt(graph, k, cap, cluster))
@@ -89,12 +89,10 @@ def default_kappa(config: ClusterConfig) -> int:
     return max(1, ipow_ceil(config.n, (c - config.mu) / 2))
 
 
-def vertex_colouring(
-    graph: Graph, config: ClusterConfig | None = None, kappa: int | None = None, edge_cap: int | None = None, **kw
-) -> RunResult:
+def vertex_colouring(graph: Graph, kappa: int | None = None, edge_cap: int | None = None, **kw) -> RunResult:
     """Proper vertex colouring with at most kappa*(max_i Delta_i + 1)
     colours, w.h.p. (1 + n^(-mu/2) sqrt(6 ln n) + n^(-mu)) * Delta."""
-    return _run_colouring(graph, _vertex_attempt, config, kappa, edge_cap, kw)
+    return _run_colouring(graph, _vertex_attempt, kappa, edge_cap, kw)
 
 
 def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
@@ -170,12 +168,10 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
     return _merged_colouring(cluster, "vertex", graph.n, kappa, counts)
 
 
-def edge_colouring(
-    graph: Graph, config: ClusterConfig | None = None, kappa: int | None = None, edge_cap: int | None = None, **kw
-) -> RunResult:
+def edge_colouring(graph: Graph, kappa: int | None = None, edge_cap: int | None = None, **kw) -> RunResult:
     """Proper edge colouring: random edge partition, Misra-Gries per group,
     colour = (group id, within-group colour)."""
-    return _run_colouring(graph, _edge_attempt, config, kappa, edge_cap, kw)
+    return _run_colouring(graph, _edge_attempt, kappa, edge_cap, kw)
 
 
 def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):

@@ -225,6 +225,10 @@ def _seeded(rng: Random) -> Random:
     return rng
 
 
+# The constant factor of every algorithm's memory budget formula.
+BUDGET_FACTOR = 8
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """The (n, c, mu, eta, fanout, budget) regime of a simulated cluster.
@@ -240,11 +244,7 @@ class ClusterConfig:
     memory_budget_words: int
     fanout: int
     seed: int
-    retry_cap: int = 3
-    free_broadcast: bool = False
-    fail_multiplier: int = 3
-    budget_multiplier: int = 8
-    strict_mpc: bool = False
+    retry_cap: int
 
     def __post_init__(self):
         if self.machine_count < 1:
@@ -274,7 +274,7 @@ def cluster_config(
     machine_count: int | None = None,
     fanout: int | None = None,
     memory_budget_words: int | None = None,
-    **flags,
+    retry_cap: int = 3,
 ) -> ClusterConfig:
     """The regime of one algorithm's cluster.
 
@@ -282,8 +282,7 @@ def cluster_config(
     input items it shards eta to a machine.  Defaults: eta = floor(n^(1+mu)),
     machine_count = ceil(items/eta) (at least 1), fanout = ceil(n^mu) (at
     least 2), and the memory budget is ``budget(config)``, the algorithm's
-    formula evaluated on the finished config.  Each can be overridden;
-    ``flags`` sets the remaining ClusterConfig fields.
+    formula evaluated on the finished config.  Each can be overridden.
     """
     mu = as_fraction(mu)
     if eta is None:
@@ -301,7 +300,7 @@ def cluster_config(
         memory_budget_words=1 if memory_budget_words is None else memory_budget_words,
         fanout=fanout,
         seed=seed,
-        **flags,
+        retry_cap=retry_cap,
     )
     if memory_budget_words is None:
         config = replace(config, memory_budget_words=budget(config))
@@ -529,10 +528,9 @@ class Cluster:
         """
         m = self.config.machine_count
         payload = value if isinstance(value, Payload) else Payload(value)
-        if self.config.free_broadcast or m == 1:
-            for mid in range(m):
-                self.stores[mid][key] = payload
-                self._store_words[mid] = self._sized(mid, self.stores[mid])
+        if m == 1:
+            self.stores[0][key] = payload
+            self._store_words[0] = self._sized(0, self.stores[0])
             return 0
         k = self.config.fanout
         depth = log_ceil(m, k)
@@ -649,7 +647,6 @@ class RunResult:
         return self.cluster.total_rounds()
 
     def trace_dict(self, config: ClusterConfig) -> dict:
-        level = trace_level()
         return {
             "schema": 1,
             "config": config.to_dict(),

@@ -96,6 +96,13 @@ def exceeds_pow(value: int, coeff: int, base: int, exponent: Fraction) -> bool:
     return value**q > coeff**q * base**p
 
 
+def alpha_classes(mu: Fraction, den: int) -> tuple[Fraction, int]:
+    """The phase exponent alpha = mu/den (1/den at mu = 0) and the number
+    ceil(1/alpha) of degree or size classes it splits [0, 1] into."""
+    alpha = Fraction(mu, den) if mu > 0 else Fraction(1, den)
+    return alpha, -(-alpha.denominator // alpha.numerator)
+
+
 def size_class(class_lo: list[int], classes: int, size: int) -> int:
     """The class of a count ``size`` >= 1: the least ci in 1..classes with
     size >= class_lo[ci].

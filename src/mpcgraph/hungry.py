@@ -21,9 +21,8 @@ The complement is never materialized in full.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .engine import (
+    BUDGET_FACTOR,
     Cluster,
     ClusterConfig,
     Payload,
@@ -34,7 +33,7 @@ from .engine import (
     gather_concat,
     run_with_retries,
 )
-from .exactmath import ipow_ceil, ipow_floor, pow_threshold, size_class
+from .exactmath import alpha_classes, ipow_ceil, ipow_floor, pow_threshold, size_class
 from .instances import Graph
 
 
@@ -70,10 +69,9 @@ def _hungry_budget(graph: Graph, alpha_den: int):
     alpha = mu/alpha_den."""
 
     def budget(cfg: ClusterConfig) -> int:
-        alpha = cfg.mu / alpha_den if cfg.mu > 0 else Fraction(1, 2)
-        classes = int(-(-Fraction(1) // alpha))
+        _, classes = alpha_classes(cfg.mu, alpha_den)
         resident = 6 * ((graph.n + 2 * graph.m) // cfg.machine_count + 1)
-        return cfg.budget_multiplier * (classes + 2) * cfg.eta + resident + 4 * graph.n
+        return BUDGET_FACTOR * (classes + 2) * cfg.eta + resident + 4 * graph.n
 
     return budget
 
@@ -239,10 +237,10 @@ def _mis_left(store) -> tuple:
     return tuple((v, len(anbrs[v])) for v in sorted(store["alive"].value))
 
 
-def mis_simple(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
+def mis_simple(graph: Graph, **kw) -> RunResult:
     """Maximal independent set by phased heavy-vertex sampling (the simple
     O(1/mu^2)-round variant, phase exponent alpha = mu/2)."""
-    cfg = config or cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
+    cfg = cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
     return run_with_retries(cfg, lambda cluster: _mis_simple_attempt(graph, cluster))
 
 
@@ -250,9 +248,8 @@ def _mis_simple_attempt(graph: Graph, cluster: Cluster):
     cfg = cluster.config
     n = max(2, graph.n)
     mu = cfg.mu
-    alpha = mu / 2 if mu > 0 else Fraction(1, 2)
-    phases = int(-(-Fraction(1) // alpha))
-    s_size = ipow_ceil(n, mu / 2) if mu > 0 else 1
+    alpha, phases = alpha_classes(mu, 2)
+    s_size = ipow_ceil(n, mu / 2)
 
     _preload_vertex_shards(graph, cluster)
     cluster.preload(0, "I", Payload((), 0))
@@ -315,10 +312,10 @@ def _phase_end_pull(cluster, dead, independent, thr, tag) -> None:
         _dead_update_rounds(cluster, newly, thr, f"{tag}:phase-upd")
 
 
-def mis_fast(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
+def mis_fast(graph: Graph, **kw) -> RunResult:
     """Maximal independent set with degree-class stratification (the
     O(c/mu)-round variant, alpha = mu/8)."""
-    cfg = config or cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 8), **kw)
+    cfg = cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 8), **kw)
     return run_with_retries(cfg, lambda cluster: _mis_fast_attempt(graph, cluster))
 
 
@@ -326,9 +323,8 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
     cfg = cluster.config
     n = max(2, graph.n)
     mu = cfg.mu
-    alpha = mu / 8 if mu > 0 else Fraction(1, 8)
-    classes = int(-(-Fraction(1) // alpha))
-    s_size = ipow_ceil(n, mu / 2) if mu > 0 else 1
+    alpha, classes = alpha_classes(mu, 8)
+    s_size = ipow_ceil(n, mu / 2)
     edge_floor = ipow_floor(n, 1 + mu)
     class_lo = [pow_threshold(n, 1 - i * alpha) for i in range(classes + 2)]
     group_counts = [ipow_ceil(n, (i + 1) * alpha) for i in range(classes + 2)]
@@ -410,10 +406,10 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
 # Maximal clique via the complement relabeling scheme
 
 
-def maximal_clique(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
+def maximal_clique(graph: Graph, **kw) -> RunResult:
     """Maximal clique: the heavy-sampling MIS run on the lazily derived
     complement graph, using label lists against the global active set."""
-    cfg = config or cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
+    cfg = cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
     return run_with_retries(cfg, lambda cluster: _clique_attempt(graph, cluster))
 
 
@@ -450,9 +446,8 @@ def _clique_attempt(graph: Graph, cluster: Cluster):
     cfg = cluster.config
     n = max(2, graph.n)
     mu = cfg.mu
-    alpha = mu / 2 if mu > 0 else Fraction(1, 2)
-    phases = int(-(-Fraction(1) // alpha))
-    s_size = ipow_ceil(n, mu / 2) if mu > 0 else 1
+    alpha, phases = alpha_classes(mu, 2)
+    s_size = ipow_ceil(n, mu / 2)
     m_count = cfg.machine_count
 
     all_active = tuple(range(graph.n))

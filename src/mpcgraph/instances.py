@@ -363,7 +363,7 @@ def generate_graph(n: int, target_c, weight_range: tuple[int, int], seed: int) -
     Deterministic given seed."""
     if n < 2:
         raise MalformedInstance("need n >= 2")
-    target_c = Fraction(target_c) if not isinstance(target_c, str) else Fraction(target_c)
+    target_c = Fraction(target_c)
     complete = n * (n - 1) // 2
     quota = min(ipow_floor(n, 1 + target_c), complete)
     lo, hi = weight_range

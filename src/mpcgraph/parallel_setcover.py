@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from .engine import (
+    BUDGET_FACTOR,
     Cluster,
     ClusterConfig,
     Payload,
@@ -28,7 +29,7 @@ from .engine import (
     gather,
     run_with_retries,
 )
-from .exactmath import exceeds_pow, ipow_ceil, ipow_floor, pow_threshold, size_class
+from .exactmath import alpha_classes, exceeds_pow, ipow_ceil, ipow_floor, pow_threshold, size_class
 from .instances import Cover, SetCoverInstance, validate
 from .instances import _binomial
 
@@ -37,21 +38,15 @@ def _set_words(instance: SetCoverInstance) -> int:
     return sum(1 + len(s) for s in instance.sets)
 
 
-def _alpha_classes(mu: Fraction) -> tuple[Fraction, int]:
-    """alpha = mu/8 and the number ceil(1/alpha) of size classes."""
-    alpha = mu / 8 if mu > 0 else Fraction(1, 8)
-    return alpha, int(-(-Fraction(1) // alpha))
-
-
 def _psc_budget(instance: SetCoverInstance):
     """Budget for set-sharded cover: the m^(1+mu) log n bound plus the
     resident set shards."""
 
     def budget(cfg: ClusterConfig) -> int:
         logn = max(1, math.ceil(math.log2(max(2, instance.n))))
-        _, classes = _alpha_classes(cfg.mu)
+        _, classes = alpha_classes(cfg.mu, 8)
         return (
-            cfg.budget_multiplier * (logn * cfg.eta + (classes + 2) * cfg.fanout)
+            BUDGET_FACTOR * (logn * cfg.eta + (classes + 2) * cfg.fanout)
             + 8 * (_set_words(instance) // cfg.machine_count + 1)
             + 4 * instance.m
         )
@@ -78,9 +73,7 @@ def potential_phi(instance: SetCoverInstance, covered, threshold: Fraction, epsi
     return total
 
 
-def approx_sc_lnDelta(
-    instance: SetCoverInstance, epsilon, config: ClusterConfig | None = None, **kw
-) -> RunResult:
+def approx_sc_lnDelta(instance: SetCoverInstance, epsilon, **kw) -> RunResult:
     """(1+eps) H_Delta-approximate minimum weight set cover.
 
     Sets are sharded, so the scale parameter is the ground set size m and
@@ -90,7 +83,7 @@ def approx_sc_lnDelta(
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     instance.check_coverable()
-    cfg = config or cluster_config(max(2, instance.m), _set_words(instance), _psc_budget(instance), **kw)
+    cfg = cluster_config(max(2, instance.m), _set_words(instance), _psc_budget(instance), **kw)
     return run_with_retries(cfg, lambda cluster: _psc_attempt(instance, epsilon, cluster))
 
 
@@ -100,13 +93,13 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
     m = max(2, instance.m)
     mu = cfg.mu
     half_mu = mu / 2
-    alpha, classes = _alpha_classes(mu)
+    alpha, classes = alpha_classes(mu, 8)
     class_lo = [pow_threshold(m, 1 - i * alpha) for i in range(classes + 2)]
     group_counts = [2 * ipow_ceil(m, (i + 1) * alpha) for i in range(classes + 2)]
     # Real-valued m^(mu/2): this is a sampling rate, only the q = 1 branch
     # needs the exact comparison.
     quota_real = float(m) ** float(half_mu)
-    quota_exact = ipow_floor(m, half_mu) if mu > 0 else 1
+    quota_exact = ipow_floor(m, half_mu)
     add_thr = [pow_threshold(m, 1 - (i + 1) * alpha) for i in range(classes + 2)]
 
     for mid in range(m_count):
@@ -226,7 +219,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                 gcounts, _ = cluster.aggregate("gcounts", merge_counts, label=f"psc[{iterations}]:gcheck")
                 # c > 4*m^(mu/2) is monotone in c: test the largest group.
                 biggest = max(gcounts.values(), default=0)
-                oversized = exceeds_pow(biggest, 4, m, half_mu) if mu > 0 else biggest > 4
+                oversized = exceeds_pow(biggest, 4, m, half_mu)
                 cluster.broadcast("verdict", not oversized, label=f"psc[{iterations}]:verdict")
                 if not oversized:
                     break

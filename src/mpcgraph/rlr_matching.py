@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 
 from .engine import (
+    BUDGET_FACTOR,
     Cluster,
     ClusterConfig,
     Payload,
@@ -48,7 +49,7 @@ def _scaled_weights(graph: Graph) -> list[int]:
     return [w.numerator * (scale // w.denominator) for _, _, w in graph.edges]
 
 
-def approx_max_matching(graph: Graph, config: ClusterConfig | None = None, **kw) -> RunResult:
+def approx_max_matching(graph: Graph, **kw) -> RunResult:
     """2-approximate maximum weight matching on the simulated cluster.
 
     Deterministically at least half the brute-force optimum; iteration
@@ -57,12 +58,9 @@ def approx_max_matching(graph: Graph, config: ClusterConfig | None = None, **kw)
 
     def budget(cfg: ClusterConfig) -> int:
         # 4-word edge records plus the resident phi and stack
-        k = cfg.budget_multiplier
-        if cfg.strict_mpc:
-            return max(1, k * -(-(EDGE_WORDS * graph.m) // cfg.machine_count)) + 4 * graph.n
-        return k * (4 * EDGE_WORDS + 2) * cfg.eta + 4 * graph.n + 4 * graph.m
+        return BUDGET_FACTOR * (4 * EDGE_WORDS + 2) * cfg.eta + 4 * graph.n + 4 * graph.m
 
-    cfg = config or cluster_config(max(2, graph.n), graph.m, budget, **kw)
+    cfg = cluster_config(max(2, graph.n), graph.m, budget, **kw)
     intw = _scaled_weights(graph)
     return run_with_retries(cfg, lambda cluster: _matching_attempt(graph, intw, cluster))
 
@@ -133,7 +131,7 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
                 if best is not None:
                     red.push(*best)
                     pushes.append(best[0])
-            return _publish(store, red, pushes, graph, m_count)
+            return _publish(store, red, pushes, m_count)
 
         cluster.run_round(central_step, label=f"match[{iterations}]:central")
         if "failed" in cluster.stores[0]:
@@ -179,11 +177,13 @@ def _replayed(red: MatchingReduction, stack) -> MatchingReduction:
     return red
 
 
-def _publish(store: dict, red: MatchingReduction, pushes: list, graph: Graph, m_count: int):
+def _publish(store: dict, red: MatchingReduction, pushes: list, m_count: int):
     """Central store and outbox after a push pass: the new stack stays on
     the central machine, and every machine gets the phi values of the
-    pushed edges' endpoints and the pushed ids."""
-    changed = sorted({x for eid in pushes for x in graph.endpoints(eid)})
+    pushed edges' endpoints, read from the stack's newest entries, and the
+    pushed ids."""
+    pushed = red.stack[len(red.stack) - len(pushes) :]
+    changed = sorted({x for _, u, v, _ in pushed for x in (u, v)})
     phi_delta = tuple((v, red.phi[v]) for v in changed)
     new_stack = tuple(red.stack)
     out = [(d, "upd", (phi_delta, tuple(pushes))) for d in range(m_count)]
@@ -234,7 +234,7 @@ def _alive_max_degree(cluster: Cluster, n: int) -> int:
 # b-matching
 
 
-def approx_b_matching(graph: Graph, b, epsilon, config: ClusterConfig | None = None, **kw) -> RunResult:
+def approx_b_matching(graph: Graph, b, epsilon, **kw) -> RunResult:
     """(3 - 2/max{2,b} + 2eps)-approximate maximum weight b-matching.
 
     Per iteration each vertex samples ceil(b(v) ln(1/delta) n^mu) incident
@@ -251,9 +251,9 @@ def approx_b_matching(graph: Graph, b, epsilon, config: ClusterConfig | None = N
     pushes = max(1, math.ceil(max(caps, default=1) * math.log(1 / float(delta))))
 
     def budget(cfg: ClusterConfig) -> int:
-        return cfg.budget_multiplier * 10 * pushes * cfg.eta + 6 * graph.m + 4 * graph.n
+        return BUDGET_FACTOR * 10 * pushes * cfg.eta + 6 * graph.m + 4 * graph.n
 
-    cfg = config or cluster_config(max(2, graph.n), graph.m, budget, **kw)
+    cfg = cluster_config(max(2, graph.n), graph.m, budget, **kw)
     intw = _scaled_weights(graph)
     return run_with_retries(cfg, lambda cluster: _bmatching_attempt(graph, intw, caps, epsilon, cluster))
 
@@ -325,7 +325,7 @@ def _bmatching_attempt(graph: Graph, intw: list[int], caps: list[int], epsilon: 
             pushes = []
             for v in sorted(lists):
                 pushes += _push_best(red, lists[v], push_cap[v], heavy)
-            return _publish(store, red, pushes, graph, m_count)
+            return _publish(store, red, pushes, m_count)
 
         cluster.run_round(central_step, label=f"bmatch[{iterations}]:central")
         push_order.extend(cluster.stores[0]["pushes"])

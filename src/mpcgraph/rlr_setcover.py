@@ -14,6 +14,7 @@ from __future__ import annotations
 from random import Random
 
 from .engine import (
+    BUDGET_FACTOR,
     Cluster,
     ClusterConfig,
     Payload,
@@ -28,31 +29,32 @@ from .engine import (
 from .instances import Cover, Graph, SetCoverInstance, validate, vertex_cover_encoding
 from .oracles import CoverReduction
 
+# A central round fails its iteration when its sample holds more than
+# FAIL_FACTOR times the expected 2*eta elements.
+FAIL_FACTOR = 3
 
-def _cover_budget(m: int, f: int):
+
+def _cover_budget(f: int):
     """Memory budget of the dual-sharded cover engine: the f*n^(1+mu) space
-    bound with the configured constant multiplier."""
+    bound times BUDGET_FACTOR."""
 
     def budget(cfg: ClusterConfig) -> int:
-        if cfg.strict_mpc:
-            # MPC-strict: S = O(N/M) with N = the dual-view input size
-            return max(1, cfg.budget_multiplier * -(-(m * (f + 1)) // cfg.machine_count))
-        return cfg.budget_multiplier * (f + 2) * cfg.eta
+        return BUDGET_FACTOR * (f + 2) * cfg.eta
 
     return budget
 
 
-def approx_sc_f(instance: SetCoverInstance, config: ClusterConfig | None = None, **kw) -> RunResult:
+def approx_sc_f(instance: SetCoverInstance, **kw) -> RunResult:
     """f-approximate minimum weight set cover on the simulated cluster.
 
     The scale parameter is the set count n; elements are sharded eta per
     machine.  Fails an iteration (and retries the whole run) when the
-    sample exceeds 2*fail_multiplier*eta elements.  The returned cover
+    sample exceeds 2*FAIL_FACTOR*eta elements.  The returned cover
     equals the zero residual sets of a valid sequential local-ratio
     execution.
     """
     instance.check_coverable()
-    cfg = config or cluster_config(instance.n, instance.m, _cover_budget(instance.m, instance.frequency), **kw)
+    cfg = cluster_config(instance.n, instance.m, _cover_budget(instance.frequency), **kw)
     return run_with_retries(cfg, lambda cluster: _sc_f_attempt(instance, cluster))
 
 
@@ -97,7 +99,7 @@ def _central_round(cluster: Cluster, instance: SetCoverInstance, tag: str, publi
     ``publish(newly)`` gives the extra store entries and the outbox that
     hand the newly zeroed sets on.  Returns the sampled element order.
     """
-    fail_at = 2 * cluster.config.fail_multiplier * cluster.config.eta
+    fail_at = 2 * FAIL_FACTOR * cluster.config.eta
 
     @central
     def central_step(store, inbox):
@@ -170,12 +172,7 @@ def _sc_f_attempt(instance: SetCoverInstance, cluster: Cluster):
     return _final_cover(cluster, instance, "elements"), iterations, extras
 
 
-def vertex_cover_2approx(
-    graph: Graph,
-    vertex_weights=None,
-    config: ClusterConfig | None = None,
-    **kw,
-) -> RunResult:
+def vertex_cover_2approx(graph: Graph, vertex_weights=None, **kw) -> RunResult:
     """2-approximate minimum weight vertex cover (the f = 2 special case).
 
     Identical sampling and central steps, but the cover is distributed the
@@ -183,7 +180,7 @@ def vertex_cover_2approx(
     single bit and the vertex forwards it to its incident edges.
     """
     instance = vertex_cover_encoding(graph, vertex_weights)
-    cfg = config or cluster_config(graph.n, graph.m, _cover_budget(graph.m, 2), **kw)
+    cfg = cluster_config(graph.n, graph.m, _cover_budget(2), **kw)
     return run_with_retries(cfg, lambda cluster: _vc_attempt(instance, cluster))
 
 

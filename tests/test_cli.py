@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -176,12 +177,16 @@ def test_infeasible_input_exit_code(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("flag,value", [("--mu", "abc"), ("--epsilon", "x"), ("--c", "1/0")])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--mu", "abc"), ("--epsilon", "x"), ("--c", "1/0"), ("--mu", "-1/5"), ("--epsilon", "-1/10"), ("--epsilon", "0")],
+)
 def test_bad_rational_option_exit_code(tmp_path, capsys, flag, value):
     path = tmp_path / "i.sc"
     run_cli(capsys, "generate", "setcover", str(path), "--n", "4", "--m", "6", "--density", "0.5", "--seed", "5")
     # A repeated option keeps its last value, so flag overrides the valid epsilon.
-    code = cli.main(["run", "sc-lnD", str(path), "--epsilon", "1/10", flag, value])
+    # The flag=value form lets a value start with "-".
+    code = cli.main(["run", "sc-lnD", str(path), "--epsilon", "1/10", f"{flag}={value}"])
     err = capsys.readouterr().err
     assert code == 3 and flag in err and value in err
     sol = tmp_path / "s.sol"
@@ -252,8 +257,10 @@ def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):
 
     # library-level: an impossible regime exhausts the retry cap
     inst = read_set_cover(sc)
-    with pytest.raises(RetriesExhausted):
-        rsc.approx_sc_f(inst, mu="1/5", seed=0, eta=1, fail_multiplier=1, retry_cap=1)
+    monkeypatch.setattr(rsc, "FAIL_FACTOR", 1)
+    with pytest.raises(RetriesExhausted) as err:
+        rsc.approx_sc_f(inst, mu="1/5", seed=0, eta=1, retry_cap=1)
+    assert all(re.fullmatch(r"\|U'\|=\d+ > 2", a.failure) for a in err.value.attempts)
 
     # CLI surfaces it as exit code 2
     def boom(instance, **kw):
@@ -263,6 +270,17 @@ def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "run", "sc-f", str(sc), "--seed", "1")
     assert code == 2
     assert "retries-exhausted" in out
+
+
+def test_mis_fast_at_mu_zero(tmp_path, capsys):
+    # The budget formula counts mis-fast's own 8 degree classes at mu = 0;
+    # with 2 its central scan ran out of memory in every attempt.
+    path, sol = tmp_path / "g.graph", tmp_path / "s.sol"
+    run_cli(capsys, "generate", "graph", str(path), "--n", "200", "--c", "2/5", "--seed", "3")
+    code, _ = run_cli(capsys, "run", "mis-fast", str(path), "--mu", "0", "--out", str(sol))
+    assert code == 0
+    code, out = run_cli(capsys, "verify", str(path), str(sol), "--algorithm", "mis-fast")
+    assert code == 0 and "feasible (maximal)" in out
 
 
 def test_bench_csv(tmp_path, capsys):

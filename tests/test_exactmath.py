@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mpcgraph.exactmath import (
+    alpha_classes,
     as_fraction,
     exceeds_pow,
     frac_decimal,
@@ -74,6 +75,16 @@ def test_ipow_long_exponent_and_large_base():
     for k in (2**53 + 1, 10**20 + 9):
         assert ipow_floor(k**3 - 1, Fraction(1, 3)) == k - 1
         assert ipow_ceil(k**3, Fraction(1, 3)) == k
+
+
+@pytest.mark.parametrize("den", [2, 8])
+@pytest.mark.parametrize("mu", ["1/10", "1/5", "1/3", "1"])
+def test_alpha_classes_matches_the_formula_it_replaced(mu, den):
+    mu = Fraction(mu)
+    alpha = mu / den
+    assert alpha_classes(mu, den) == (alpha, int(-(-Fraction(1) // alpha)))
+    # mu = 0 takes alpha = 1/den, so den classes.
+    assert alpha_classes(Fraction(0), den) == (Fraction(1, den), den)
 
 
 def test_pow_threshold():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpcgraph.exactmath import harmonic, pow_threshold, size_class
+from mpcgraph.exactmath import alpha_classes, harmonic, pow_threshold, size_class
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
 from mpcgraph.oracles import brute_force
-from mpcgraph.parallel_setcover import _alpha_classes, approx_sc_lnDelta, potential_phi
+from mpcgraph.parallel_setcover import approx_sc_lnDelta, potential_phi
 
 
 def test_single_set_instance():
@@ -143,7 +143,7 @@ def test_psc_config_scale_is_ground_set():
     st.data(),
 )
 def test_size_class_bisect_equals_linear_scan(m, mu, data):
-    alpha, classes = _alpha_classes(Fraction(mu))
+    alpha, classes = alpha_classes(Fraction(mu), 8)
     class_lo = [pow_threshold(m, 1 - i * alpha) for i in range(classes + 2)]
     # Every class bound, its neighbours, and uncovered sizes drawn up to m.
     sizes = {s for lo in class_lo for s in (lo - 1, lo, lo + 1) if 1 <= s <= m}

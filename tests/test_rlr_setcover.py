@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from mpcgraph import rlr_setcover
 from mpcgraph.engine import RetriesExhausted
 from mpcgraph.instances import (
     generate_set_cover,
@@ -83,14 +85,15 @@ def test_u_series_monotone():
     assert u[-1] == 0
 
 
-def test_fail_multiplier_and_retries():
-    # a pathologically low fail multiplier forces the 6-eta style check to
+def test_fail_factor_and_retries(monkeypatch):
+    # a pathologically low fail factor forces the 6-eta style check to
     # fire every attempt
+    monkeypatch.setattr(rlr_setcover, "FAIL_FACTOR", 1)
     inst = generate_set_cover(12, 80, 0.2, (1, 5), seed=1)
     with pytest.raises(RetriesExhausted) as err:
-        approx_sc_f(inst, mu="1/5", seed=0, eta=1, fail_multiplier=1, retry_cap=2)
+        approx_sc_f(inst, mu="1/5", seed=0, eta=1, retry_cap=2)
     assert len(err.value.attempts) == 3
-    assert all(a.failure for a in err.value.attempts)
+    assert all(re.fullmatch(r"\|U'\|=\d+ > 2", a.failure) for a in err.value.attempts)
 
 
 def test_config_budget_enforces_f_scaling():
@@ -153,13 +156,6 @@ def test_star_encoding_through_generic_sc_f():
     for seed in range(4):
         res = approx_sc_f(enc, mu="1/5", seed=seed)
         assert res.value.weight(enc) <= 2 * opt
-
-
-def test_strict_mpc_flag_tightens_budget():
-    inst = generate_set_cover(30, 200, 0.1, (1, 5), seed=2)
-    loose = approx_sc_f(inst, mu="1/5", seed=0).cluster.config
-    strict = approx_sc_f(inst, mu="1/5", seed=0, strict_mpc=True).cluster.config
-    assert strict.strict_mpc and strict.memory_budget_words < loose.memory_budget_words
 
 
 def test_empty_universe():
