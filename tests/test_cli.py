@@ -273,8 +273,8 @@ def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_mis_fast_at_mu_zero(tmp_path, capsys):
-    # The budget formula counts mis-fast's own 8 degree classes at mu = 0;
-    # with 2 its central scan ran out of memory in every attempt.
+    # At mu = 0 mis-fast uses 8 degree classes, and its budget must count
+    # all 8 or the central scan outgrows it.
     path, sol = tmp_path / "g.graph", tmp_path / "s.sol"
     run_cli(capsys, "generate", "graph", str(path), "--n", "200", "--c", "2/5", "--seed", "3")
     code, _ = run_cli(capsys, "run", "mis-fast", str(path), "--mu", "0", "--out", str(sol))

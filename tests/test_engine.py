@@ -492,8 +492,6 @@ def test_runs_leave_no_cyclic_garbage(name, failure, monkeypatch):
     assert gc.collect() == 0
 
 
-
-
 def test_trace_json_shape(tmp_path):
     def attempt(cluster):
         cluster.run_round(idle, "one")
