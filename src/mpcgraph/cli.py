@@ -351,11 +351,11 @@ def _rational(text: str, flag: str) -> Fraction:
 
 
 def _common(args) -> dict:
-    """The regime keywords every algorithm takes."""
+    """The regime keywords every algorithm takes, apart from the seed."""
     mu = _rational(args.mu, "--mu")
     if mu < 0:
         raise MalformedInstance(f"--mu must be >= 0, got {args.mu!r}")
-    common = dict(mu=mu, seed=args.seed, retry_cap=args.retries)
+    common = dict(mu=mu, retry_cap=args.retries)
     if args.c is not None:
         common["c"] = _rational(args.c, "--c")
     if args.eta is not None:
@@ -428,7 +428,7 @@ def cmd_run(args) -> int:
     instance = _load_instance(problem, args.instance)
     with open(args.instance, "r", encoding="ascii") as fh:
         inst_digest = digest(fh.read())
-    common = _common(args)
+    common = {**_common(args), "seed": args.seed}
     aux = problem.aux(args)
     try:
         result = spec.run(instance, aux, args, common)
@@ -524,6 +524,7 @@ def cmd_bench(args) -> int:
     problem = spec.problem
     instance = _load_instance(problem, args.instance)
     aux = problem.aux(args)
+    common = _common(args)
     try:
         opt = problem.oracle(instance, aux)
     except TooLarge:
@@ -531,9 +532,8 @@ def cmd_bench(args) -> int:
     print("seed,rounds,peak_memory,objective,ratio")
     code = 0
     for seed in range(args.seeds):
-        run_args = argparse.Namespace(**{**vars(args), "seed": seed})
         try:
-            result = spec.run(instance, aux, run_args, _common(run_args))
+            result = spec.run(instance, aux, args, {**common, "seed": seed})
         except RetriesExhausted:
             print(f"{seed},,,retries-exhausted,")
             code = 2

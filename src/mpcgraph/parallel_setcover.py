@@ -11,11 +11,27 @@ Oversized groups fail only that inner iteration, which is resampled.
 
 Class sizes, the group-size check and the covered-set deltas all travel
 the m^mu-ary broadcast/aggregation tree and are charged.
+
+Accounting in proportion to live work:
+- The per-machine ``stats`` vector (class sizes, then phi: classes + 2
+  words) and the per-group ``gcounts`` dict (3 words per (class, group)
+  entry) are handed to the engine as ``Payload``s with their sizes
+  declared, and their folds return ``Payload``s, so the engine never
+  recurses into them.
+- Each machine's 1-word ``maxratio`` is an upper bound on the cost ratio
+  size/w of every own set with uncovered elements.  Uncovered sizes only
+  shrink, so a bound stays valid once set; every full stats walk makes
+  it exact again.  A machine whose bound is below the cut L/(1+eps) has
+  no set to count or sample, so its stats and sample steps return
+  all-zero stats and empty samples at once, without a walk or an RNG
+  draw, exactly what the walk would give.  Most threshold levels have
+  no set clearing the cut on most machines.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .engine import (
@@ -100,7 +116,6 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
     # needs the exact comparison.
     quota_real = float(m) ** float(half_mu)
     quota_exact = ipow_floor(m, half_mu)
-    add_thr = [pow_threshold(m, 1 - (i + 1) * alpha) for i in range(classes + 2)]
 
     for mid in range(m_count):
         own = {
@@ -112,22 +127,21 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
         uncov = {i: frozenset(s) for i, (_, s) in own.items()}
         cluster.preload(mid, "uncov", Payload(uncov, sum(1 + len(s) for s in uncov.values())))
         # Static local dual view: which own sets contain each element.
-        local_dual: dict[int, tuple] = {}
+        members: dict[int, list] = {}
         for i, (_, elems) in own.items():
             for e in elems:
-                local_dual.setdefault(e, ())
-                local_dual[e] = local_dual[e] + (i,)
+                members.setdefault(e, []).append(i)
+        local_dual = {e: tuple(ids) for e, ids in members.items()}
         dual_size = sum(1 + len(t) for t in local_dual.values())
         cluster.preload(mid, "dual", Payload(local_dual, dual_size))
-        cluster.preload(mid, "stats", (0,) * (classes + 1))
+        cluster.preload(mid, "stats", Payload((0,) * (classes + 1), classes + 1))
     cluster.preload(0, "C", Payload(frozenset(), 0))
     cluster.preload(0, "solution", Payload((), 0))
 
     def ratio_step(mid, store, inbox, rng):
         best = Fraction(0)
-        for i, (w, _) in store["sets"].value.items():
-            size = len(store["uncov"].value[i])
-            r = Fraction(size) / w
+        for (w, _), uncov in zip(store["sets"].value.values(), store["uncov"].value.values()):
+            r = Fraction(len(uncov)) / w
             if r > best:
                 best = r
         return {**store, "maxratio": best}, []
@@ -145,13 +159,18 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
     iterations = 0
     level_ordinal = 0
 
+    # What a machine with no set clearing the cut folds and samples.
+    no_stats = Payload((0,) * (classes + 2), classes + 2)
+    no_assign = Payload({}, 0)
+    no_counts = Payload({}, 0)
+
     def classified(store, cut: Fraction):
         """(id, uncovered size, size class) of each own set whose cost ratio
-        still clears the cut, in id order."""
-        uncov = store["uncov"].value
+        still clears the cut, in id order.  ``sets`` and ``uncov`` share
+        their key order."""
         cut_n, cut_d = cut.numerator, cut.denominator
-        for i, (w, _) in store["sets"].value.items():
-            size = len(uncov[i])
+        for (i, (w, _)), uncov in zip(store["sets"].value.items(), store["uncov"].value.values()):
+            size = len(uncov)
             # size/w >= cut, by integer cross-multiplication
             if size and size * cut_d * w.denominator >= cut_n * w.numerator:
                 yield i, size, size_class(class_lo, classes, size)
@@ -163,18 +182,45 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
 
         while True:
             # Stratify and count classes (charged: vector fold + rebroadcast).
+            # A machine whose maxratio bound is below the cut skips its walk;
+            # a walk makes the bound exact again.
             def stats_step(mid, store, inbox, rng, cut=cut):
-                counts = [0] * (classes + 1)
+                if store["maxratio"] < cut:
+                    if store["stats"] is no_stats:
+                        return store, []
+                    return {**store, "stats": no_stats}, []
+                counts = [0] * (classes + 2)
                 phi = 0
-                for _, size, ci in classified(store, cut):
-                    phi += size
-                    counts[ci - 1] += 1
-                return {**store, "stats": tuple(counts) + (phi,)}, []
+                cut_n, cut_d = cut.numerator, cut.denominator
+                best_n, best_d = 0, 1
+                for (w, _), uncov in zip(store["sets"].value.values(), store["uncov"].value.values()):
+                    size = len(uncov)
+                    if not size:
+                        continue
+                    # size/w = r_n/r_d; comparisons by cross-multiplication.
+                    r_n, r_d = size * w.denominator, w.numerator
+                    if r_n * best_d > best_n * r_d:
+                        best_n, best_d = r_n, r_d
+                    if r_n * cut_d >= cut_n * r_d:
+                        phi += size
+                        counts[size_class(class_lo, classes, size) - 1] += 1
+                counts[-1] = phi
+                return {
+                    **store,
+                    "stats": Payload(tuple(counts), classes + 2),
+                    "maxratio": Fraction(best_n, best_d),
+                }, []
+
+            def add_stats(a, b):
+                if b is no_stats:
+                    return a
+                if a is no_stats:
+                    return b
+                return Payload(tuple(map(operator.add, a.value, b.value)), classes + 2)
 
             cluster.run_round(stats_step, label=f"psc[{iterations}]:stats")
-            stats, _ = cluster.aggregate_and_broadcast(
-                "stats", lambda a, b: tuple(x + y for x, y in zip(a, b)), label=f"psc[{iterations}]:sizes"
-            )
+            stats, _ = cluster.aggregate_and_broadcast("stats", add_stats, label=f"psc[{iterations}]:sizes")
+            stats = stats.value
             class_sizes = stats[:-1]
             phi_here.append(stats[-1])
             if not any(class_sizes):
@@ -185,6 +231,8 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
             # Resample until every checked group is small enough.
             while True:
                 def sample_step(mid, store, inbox, rng, class_sizes=class_sizes, cut=cut):
+                    if store["maxratio"] < cut:
+                        return {**store, "assign": no_assign, "gcounts": no_counts}, []
                     # Per sampled set: the class and the groups it joined.
                     assign: dict[int, tuple[int, tuple]] = {}
                     counts: dict[tuple, int] = {}
@@ -205,20 +253,25 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                     return {
                         **store,
                         "assign": Payload(assign, size),
-                        "gcounts": counts,
+                        "gcounts": Payload(counts, 3 * len(counts)),
                     }, []
 
                 cluster.run_round(sample_step, label=f"psc[{iterations}]:sample")
 
                 def merge_counts(a, b):
-                    out = dict(a)
-                    for gid, c in b.items():
+                    # Copy the larger count dict, fold the smaller into it.
+                    if len(a.value) < len(b.value):
+                        a, b = b, a
+                    if not b.value:
+                        return a
+                    out = dict(a.value)
+                    for gid, c in b.value.items():
                         out[gid] = out.get(gid, 0) + c
-                    return out
+                    return Payload(out, 3 * len(out))
 
                 gcounts, _ = cluster.aggregate("gcounts", merge_counts, label=f"psc[{iterations}]:gcheck")
                 # c > 4*m^(mu/2) is monotone in c: test the largest group.
-                biggest = max(gcounts.values(), default=0)
+                biggest = max(gcounts.value.values(), default=0)
                 oversized = exceeds_pow(biggest, 4, m, half_mu)
                 cluster.broadcast("verdict", not oversized, label=f"psc[{iterations}]:verdict")
                 if not oversized:
@@ -241,22 +294,31 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
 
             @central
             def central_step(store, inbox, cut=cut):
+                cut_n, cut_d = cut.numerator, cut.denominator
+                # Rows in id order, so each group lists its members by id.
+                rows = sorted((row for part in gather(inbox, "grp") for row in part), key=operator.itemgetter(0))
                 groups: dict[tuple, list] = {}
-                for rows in gather(inbox, "grp"):
-                    for i, w, elems, ci, gids in rows:
-                        for j in gids:
-                            groups.setdefault((ci, j), []).append((i, w, elems))
+                for i, w, elems, ci, gids in rows:
+                    # len/w >= cut iff len * lhs >= rhs.
+                    member = (i, cut_d * w.denominator, cut_n * w.numerator, elems)
+                    for j in gids:
+                        groups.setdefault((ci, j), []).append(member)
                 cset = set(store["C"].value)
                 added: list[int] = []
-                cut_n, cut_d = cut.numerator, cut.denominator
+                # A set tried once never qualifies again in this step: its
+                # fresh count only shrinks, and an added set has none left.
+                tried: set[int] = set()
 
                 def try_group(members, thr):
-                    for i, w, elems in sorted(members):
+                    for i, lhs, rhs, elems in members:
+                        if i in tried:
+                            continue
+                        tried.add(i)
                         fresh = [e for e in elems if e not in cset]
                         # thr >= 1, so fresh is non-empty; then len/w >= cut
                         # by integer cross-multiplication.
                         size = len(fresh)
-                        if 2 * size >= thr and size * cut_d * w.denominator >= cut_n * w.numerator:
+                        if 2 * size >= thr and size * lhs >= rhs:
                             added.append(i)
                             cset.update(fresh)
                             return True
@@ -264,13 +326,15 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
 
                 for gid in sorted(groups):
                     ci, j = gid
-                    thr = add_thr[ci]
+                    # Addition threshold m^(1-(ci+1)alpha): the next class's floor.
+                    thr = class_lo[ci + 1]
+                    members = groups[gid]
                     if j >= 0:
-                        try_group(groups[gid], thr)
+                        try_group(members, thr)
                     else:
                         # q = 1: every group of this class is this same copy.
                         for _ in range(group_counts[ci]):
-                            if not try_group(groups[gid], thr):
+                            if not try_group(members, thr):
                                 break
                 sol = store["solution"].value + tuple(added)
                 return {

@@ -295,6 +295,14 @@ def test_bench_csv(tmp_path, capsys):
         assert len(ln.split(",")) == 5
 
 
+def test_bench_checks_the_regime_before_the_header(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    run_cli(capsys, "generate", "graph", str(path), "--n", "7", "--c", "1/3", "--seed", "6")
+    assert cli.main(["bench", "mis-fast", str(path), "--mu=-1/5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--mu" in captured.err
+
+
 def test_mpc_trace_env(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.graph"
     run_cli(capsys, "generate", "graph", str(path), "--n", "6", "--c", "1/3", "--seed", "1")

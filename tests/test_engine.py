@@ -213,6 +213,24 @@ def test_aggregate_rejects_bad_combine():
         cl.aggregate("v", lambda a, b: a - b)  # not commutative
 
 
+def test_aggregate_probe_compares_payload_folds():
+    """A combine that returns Payloads is probed by value and declared size."""
+
+    def fold(combine, sizes=(1, 1, 1)):
+        cl = Cluster(cfg(3, fanout=2))
+        for m, (v, size) in enumerate(zip([2, 3, 5], sizes)):
+            cl.preload(m, "v", Payload(v, size))
+        return cl.aggregate("v", combine)[0]
+
+    total = fold(lambda a, b: Payload(a.value + b.value, 1))
+    assert (total.value, total.word_size) == (10, 1)
+    with pytest.raises(AssertionError, match="not associative"):
+        fold(lambda a, b: Payload(a.value - b.value, 1))
+    # Equal values, but the size follows the left operand.
+    with pytest.raises(AssertionError, match="not commutative"):
+        fold(lambda a, b: Payload(a.value + b.value, a.word_size), sizes=(1, 2, 3))
+
+
 def test_back_to_back_aggregates_ignore_stale_parts():
     cl = Cluster(cfg(5, fanout=2))
     for m in range(5):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import alpha_classes, harmonic, pow_threshold, size_class
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
 from mpcgraph.oracles import brute_force
 from mpcgraph.parallel_setcover import approx_sc_lnDelta, potential_phi
+from test_setcover_pins import PINS, SEEDS, _instances
 
 
 def test_single_set_instance():
@@ -128,6 +130,41 @@ def test_inner_iteration_budget_instrumented(psc_instrumented_runs):
     budget = 2 * math.ceil(18 * math.log(phi0_cap) / (mu * math.log(m)))
     good = sum(1 for res in runs if max(res.extras["inner_per_level"], default=0) <= budget)
     assert good >= 18, f"inner budget held in only {good}/20 seeds"
+
+
+def _live_ratios(store) -> list[Fraction]:
+    """size/w of each own set that still has uncovered elements."""
+    uncov = store["uncov"].value
+    return [Fraction(len(uncov[i])) / w for i, (w, _) in store["sets"].value.items() if uncov[i]]
+
+
+@pytest.mark.parametrize("mu,eps", sorted(PINS))
+def test_maxratio_bounds_every_live_ratio(mu, eps, monkeypatch):
+    """After every psc[...] round, each machine's maxratio is at least the
+    cost ratio of each of its sets with uncovered elements: the stats and
+    sample steps skip a machine whose maxratio is below the cut.  A
+    machine that counted a set in a stats round walked its sets, so there
+    its maxratio is their exact maximum."""
+    run_round = Cluster.run_round
+    checked = {"rounds": 0, "walks": 0}
+
+    def checked_round(cluster, step, label=""):
+        record = run_round(cluster, step, label)
+        if label.startswith("psc["):
+            checked["rounds"] += 1
+            for store in cluster.stores:
+                live = _live_ratios(store)
+                assert all(store["maxratio"] >= r for r in live), label
+                if label.endswith(":stats") and any(store["stats"].value):
+                    checked["walks"] += 1
+                    assert store["maxratio"] == max(live), label
+        return record
+
+    monkeypatch.setattr(Cluster, "run_round", checked_round)
+    for inst in _instances(sorted(PINS).index((mu, eps))):
+        for seed in SEEDS:
+            approx_sc_lnDelta(inst, Fraction(eps), mu=mu, seed=seed)
+    assert checked["rounds"] > 0 and checked["walks"] > 0
 
 
 def test_psc_config_scale_is_ground_set():
