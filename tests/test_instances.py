@@ -269,7 +269,8 @@ def naive_graph_from_text(text):
         for parts in rows[1:]:
             if len(parts) != 3:
                 raise MalformedInstance(f"bad edge line: {' '.join(parts)!r}")
-            triples.append((int(parts[0]), int(parts[1]), naive_weight(parts[2])))
+            w = naive_weight(parts[2])  # a row's weight is read before its ids
+            triples.append((int(parts[0]), int(parts[1]), w))
     return naive_graph(n, triples)
 
 
@@ -300,8 +301,8 @@ def outcome(build, *args):
 
 
 # Instances are drawn valid, with non-canonical tokens (2/4, +3, -0),
-# comments, blank lines and padding; about half of them then get one
-# defect: a bad weight (0 for set cover, -1, 3/-6, 1/0, abc, 1.5), a
+# comments, blank lines and padding; about half of them then get one or
+# two defects: a bad weight (0 for set cover, -1, 3/-6, 1/0, abc, 1.5), a
 # self-loop, a duplicate, an endpoint or element out of range, an
 # unparseable id, a wrong token or line count.
 VALID_WEIGHTS = ["1", "2", "7", "5/3", "2/4", "+3"]
@@ -315,8 +316,15 @@ GRAPH_DEFECTS = ["weight", "loop", "duplicate", "range", "id", "tokens", "count"
 SET_DEFECTS = ["weight", "zero", "duplicate", "range", "id", "tokens", "count"]
 
 
-def defect(draw, kinds):
-    return draw(st.sampled_from([None] * len(kinds) + kinds))
+def defects(draw, kinds):
+    """No defect about half the time, else one, else now and then two, so
+    that the reference fixes which of two faults is reported first."""
+    first = draw(st.sampled_from([None] * len(kinds) + kinds))
+    if first is None:
+        return []
+    if draw(st.sampled_from([False, False, True])):
+        return [first, draw(st.sampled_from(kinds))]
+    return [first]
 
 
 def text_file(draw, header, lines):
@@ -334,21 +342,22 @@ def graph_texts(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pairs = draw(st.lists(pair, min_size=1, max_size=8, unique_by=frozenset))
     lines = [[str(u), str(v), draw(st.sampled_from(VALID_WEIGHTS + ["0", "-0"]))] for u, v in pairs]
-    at = draw(st.integers(0, len(lines) - 1))
-    kind = defect(draw, GRAPH_DEFECTS)
-    if kind == "weight":
-        lines[at][2] = draw(st.sampled_from(BAD_WEIGHTS))
-    elif kind == "loop":
-        lines[at][1] = lines[at][0]
-    elif kind == "duplicate":
-        lines.append(lines[at][1::-1] + ["1"])
-    elif kind == "range":
-        lines[at][1] = draw(st.sampled_from(["-1", str(n)]))
-    elif kind == "id":
-        lines[at][0] = "x"
-    elif kind == "tokens":
-        lines[at] = lines[at][:2] if draw(st.booleans()) else lines[at] + ["1"]
-    m = len(lines) + (draw(st.sampled_from([1, -1])) if kind == "count" else 0)
+    kinds = defects(draw, GRAPH_DEFECTS)
+    for kind in kinds:
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == "weight":
+            lines[at][2:3] = [draw(st.sampled_from(BAD_WEIGHTS))]
+        elif kind == "loop":
+            lines[at][1] = lines[at][0]
+        elif kind == "duplicate":
+            lines.append(lines[at][1::-1] + ["1"])
+        elif kind == "range":
+            lines[at][1] = draw(st.sampled_from(["-1", str(n)]))
+        elif kind == "id":
+            lines[at][0] = "x"
+        elif kind == "tokens":
+            lines[at] = lines[at][:2] if draw(st.booleans()) else lines[at] + ["1"]
+    m = len(lines) + (draw(st.sampled_from([1, -1])) if "count" in kinds else 0)
     return text_file(draw, f"{n} {m}", [" ".join(parts) for parts in lines])
 
 
@@ -357,25 +366,25 @@ def set_cover_texts(draw):
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     sets = [draw(st.lists(st.integers(0, m - 1), max_size=4, unique=True)) for _ in range(n)]
     lines = [[draw(st.sampled_from(VALID_WEIGHTS)), str(len(s))] + [str(j) for j in s] for s in sets]
-    at = draw(st.integers(0, n - 1))
-    kind = defect(draw, SET_DEFECTS)
-    if kind == "weight":
-        lines[at][0] = draw(st.sampled_from(BAD_WEIGHTS))
-    elif kind == "zero":
-        lines[at][0] = draw(st.sampled_from(["0", "-0", "0/3"]))
-    elif kind == "duplicate" and sets[at]:
-        lines[at] += [lines[at][2]]
-        lines[at][1] = str(len(lines[at]) - 2)
-    elif kind == "range":
-        lines[at] += [draw(st.sampled_from(["-1", str(m)]))]
-        lines[at][1] = str(len(lines[at]) - 2)
-    elif kind == "id":
-        lines[at] += ["y"]
-        lines[at][1] = str(len(lines[at]) - 2)
-    elif kind == "tokens":
-        lines[at][1] = str(len(lines[at]) - 1)
-    elif kind == "count":
-        lines.append(["1", "0"])
+    for kind in defects(draw, SET_DEFECTS):
+        at = draw(st.integers(0, n - 1))
+        if kind == "weight":
+            lines[at][0] = draw(st.sampled_from(BAD_WEIGHTS))
+        elif kind == "zero":
+            lines[at][0] = draw(st.sampled_from(["0", "-0", "0/3"]))
+        elif kind == "duplicate" and sets[at]:
+            lines[at] += [lines[at][2]]
+            lines[at][1] = str(len(lines[at]) - 2)
+        elif kind == "range":
+            lines[at] += [draw(st.sampled_from(["-1", str(m)]))]
+            lines[at][1] = str(len(lines[at]) - 2)
+        elif kind == "id":
+            lines[at] += ["y"]
+            lines[at][1] = str(len(lines[at]) - 2)
+        elif kind == "tokens":
+            lines[at][1] = str(len(lines[at]) - 1)
+        elif kind == "count":
+            lines.append(["1", "0"])
     return text_file(draw, f"{n} {m}", [" ".join(parts) for parts in lines])
 
 
