@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from operator import eq, lt
 from random import Random
 from typing import Iterable, Sequence
 
@@ -85,6 +88,11 @@ class Graph:
 def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
     """Build a Graph from (u, v, w) triples, validating all invariants.
 
+    ``edge_list`` is consumed once, so it may be a generator.  Each
+    endpoint, once its range is checked, is replaced by the one int object
+    ``ids[v]`` for its vertex, and the adjacency lists become tuples one at
+    a time, so the graph holds one object per vertex id and no second copy.
+
     Weights repeat: each distinct weight object becomes one Fraction, whose
     sign is tested once.  The memo is keyed on the object's id (hashing a
     Fraction costs more than building one) and holds the object, so no
@@ -92,6 +100,7 @@ def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
     """
     if n < 0:
         raise MalformedInstance("vertex count must be non-negative")
+    ids = list(range(n))
     edges = []
     adjacency = [[] for _ in range(n)]
     seen = set()
@@ -111,14 +120,20 @@ def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
         hit = memo.get(id(w))
         if hit is None:
             hit = memo[id(w)] = (w, _freeze_weight(w))
+        u, v = ids[u], ids[v]
         adjacency[u].append(eid)
         adjacency[v].append(eid)
         edges.append((u, v, hit[1]))
-    return Graph(
-        n=n,
-        edges=tuple(edges),
-        adjacency=tuple(map(tuple, adjacency)),
-    )
+    del seen, memo
+    _freeze_lists(adjacency)
+    return Graph(n=n, edges=tuple(edges), adjacency=tuple(adjacency))
+
+
+def _freeze_lists(lists: list[list]) -> None:
+    """Turn each inner list into a tuple in place, freeing the list as its
+    tuple is made."""
+    for k, inner in enumerate(lists):
+        lists[k] = tuple(inner)
 
 
 @dataclass(frozen=True)
@@ -154,24 +169,34 @@ class SetCoverInstance:
 def make_set_cover(n: int, m: int, sets: Sequence[Iterable[int]], weights: Sequence) -> SetCoverInstance:
     """Build a SetCoverInstance, validating all invariants.
 
-    Each set is sorted once: its range is checked at its two ends, its
-    duplicates by one set() call, and one pass fills the dual view.
-    Weights are frozen as in make_graph: one Fraction and one sign test
-    per distinct weight object.
+    A set given as a strictly increasing tuple is kept as it is.  Any other
+    set is sorted once: its range is checked at its two ends, its
+    duplicates between neighbours, and its elements are replaced by the
+    one int object ``ids[j]`` per element id.  One pass fills the dual
+    view, whose lists become tuples one at a time.  Weights are frozen as
+    in make_graph: one Fraction and one sign test per distinct weight
+    object.
     """
     if len(sets) != n or len(weights) != n:
         raise MalformedInstance("set/weight counts disagree with n")
+    if m < 0:
+        raise MalformedInstance("element count must be non-negative")
+    ids = list(range(m))
     frozen_sets = []
     dual = [[] for _ in range(m)]
     for i, s in enumerate(sets):
-        elems = sorted(s)
+        kept = type(s) is tuple and all(map(lt, s, islice(s, 1, None)))
+        elems = s if kept else sorted(s)
         if elems and not (0 <= elems[0] and elems[-1] < m):
             raise MalformedInstance(f"set {i} has an element outside [0, {m})")
-        if len(set(elems)) != len(elems):
-            raise MalformedInstance(f"set {i} has duplicate elements")
+        if not kept:
+            if any(map(eq, elems, islice(elems, 1, None))):
+                raise MalformedInstance(f"set {i} has duplicate elements")
+            elems = tuple(map(ids.__getitem__, elems))
         for j in elems:
             dual[j].append(i)
-        frozen_sets.append(tuple(elems))
+        frozen_sets.append(elems)
+    del ids
     frozen_weights = []
     memo = {}
     for i, w in enumerate(weights):
@@ -182,13 +207,8 @@ def make_set_cover(n: int, m: int, sets: Sequence[Iterable[int]], weights: Seque
                 raise MalformedInstance(f"set {i} has non-positive weight {f}")
             hit = memo[id(w)] = (w, f)
         frozen_weights.append(hit[1])
-    return SetCoverInstance(
-        n=n,
-        m=m,
-        sets=tuple(frozen_sets),
-        weights=tuple(frozen_weights),
-        dual=tuple(map(tuple, dual)),
-    )
+    _freeze_lists(dual)
+    return SetCoverInstance(n=n, m=m, sets=tuple(frozen_sets), weights=tuple(frozen_weights), dual=tuple(dual))
 
 
 @dataclass(frozen=True)
@@ -312,11 +332,9 @@ def _validate_cover(sol: Cover, instance: SetCoverInstance) -> ValidationReport:
     fault = id_error(sol.set_ids, instance.n, "set")
     if fault:
         return ValidationReport("cover", False, None, fault)
-    covered = set()
-    for i in sol.set_ids:
-        covered.update(instance.sets[i])
+    chosen = set(sol.set_ids)
+    uncovered = sum(map(chosen.isdisjoint, instance.dual))
     weight = sol.weight(instance)
-    uncovered = instance.m - len(covered)
     if uncovered:
         return ValidationReport("cover", False, weight, f"uncovered={uncovered}")
     return ValidationReport("cover", True, weight)
@@ -370,16 +388,21 @@ def generate_graph(n: int, target_c, weight_range: tuple[int, int], seed: int) -
     if lo > hi or lo < 0:
         raise MalformedInstance("bad weight range")
     rng = Random(seed)
-    picks = rng.sample(range(complete), quota)
-    pairs = sorted(_unrank_pair(i) for i in picks)
-    draws = [rng.randint(lo, hi) for _ in pairs]
-    return make_graph(n, [(u, v, w) for (u, v), w in zip(pairs, _shared_fractions(draws))])
+    keys = rng.sample(range(complete), quota)
+    for k, idx in enumerate(keys):  # in place: u*n + v orders pairs as (u, v) does
+        u, v = _unrank_pair(idx)
+        keys[k] = u * n + v
+    keys.sort()
+    shared = _SharedFractions()
+    return make_graph(n, ((*divmod(key, n), shared[rng.randint(lo, hi)]) for key in keys))
 
 
-def _shared_fractions(draws: list[int]) -> list[Fraction]:
-    """The draws as Fractions, one object per distinct value."""
-    shared = {w: Fraction(w) for w in set(draws)}
-    return [shared[w] for w in draws]
+class _SharedFractions(dict):
+    """Weight draws as Fractions, one object per distinct value."""
+
+    def __missing__(self, w: int) -> Fraction:
+        f = self[w] = Fraction(w)
+        return f
 
 
 def _binomial(rng: Random, trials: int, p: float) -> int:
@@ -412,18 +435,24 @@ def generate_set_cover(
     if lo > hi or lo <= 0:
         raise MalformedInstance("bad weight range")
     rng = Random(seed)
+    ids = list(range(m))  # sampling from it draws as sampling from range(m) does
     sets = []
     for _ in range(n):
         k = _binomial(rng, m, density)
-        members = rng.sample(range(m), k) if k else []
-        sets.append(set(members))
-    weights = _shared_fractions([rng.randint(lo, hi) for _ in range(n)])
-    covered = set()
+        sets.append(rng.sample(ids, k) if k else [])
+    shared = _SharedFractions()
+    weights = [shared[rng.randint(lo, hi)] for _ in range(n)]
+    covered = bytearray(m)
     for s in sets:
-        covered.update(s)
+        for j in s:
+            covered[j] = 1
     for j in range(m):
-        if j not in covered:
-            sets[rng.randrange(n)].add(j)
+        if not covered[j]:
+            sets[rng.randrange(n)].append(ids[j])
+    del ids, covered
+    for i, s in enumerate(sets):  # sorted tuples of canonical ids, which make_set_cover keeps
+        s.sort()
+        sets[i] = tuple(s)
     return make_set_cover(n, m, sets, weights)
 
 
@@ -435,7 +464,7 @@ def vertex_cover_encoding(graph: Graph, vertex_weights=None) -> SetCoverInstance
     weights = [Fraction(w) for w in vertex_weights]
     if len(weights) != graph.n or any(w <= 0 for w in weights):
         raise MalformedInstance("need one positive weight per vertex")
-    return make_set_cover(graph.n, graph.m, [list(a) for a in graph.adjacency], weights)
+    return make_set_cover(graph.n, graph.m, graph.adjacency, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +504,11 @@ def graph_to_text(graph: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """Parse a graph file.  Every line's shape and numbers are checked
+    before any of make_graph's checks: the edges stream into make_graph as
+    they are parsed, and when it rejects one, the rest of the lines are
+    still parsed, so that a bad line after the rejected edge is the fault
+    reported."""
     rows = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
     if not rows:
         raise MalformedInstance("empty graph file")
@@ -485,18 +519,28 @@ def graph_from_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
         if len(rows) - 1 != m:
             raise MalformedInstance(f"expected {m} edge lines, found {len(rows) - 1}")
-        edges = []
-        parsed = {}  # one Fraction per distinct weight token
-        for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise MalformedInstance(f"bad edge line: {ln!r}")
-            u, v, tok = parts
-            w = parsed.get(tok)
-            if w is None:
-                w = parsed[tok] = _parse_weight(tok)
-            edges.append((int(u), int(v), w))
-    return make_graph(n, edges)
+        edges = _edge_rows(rows)
+        try:
+            return make_graph(n, edges)
+        except MalformedInstance:
+            for _ in edges:
+                pass
+            raise
+
+
+def _edge_rows(rows: list[str]):
+    """The (u, v, w) triple of each edge line, with one Fraction per
+    distinct weight token; a row's weight is read before its ids."""
+    parsed = {}
+    for ln in islice(rows, 1, None):
+        parts = ln.split()
+        if len(parts) != 3:
+            raise MalformedInstance(f"bad edge line: {ln!r}")
+        u, v, tok = parts
+        w = parsed.get(tok)
+        if w is None:
+            w = parsed[tok] = _parse_weight(tok)
+        yield int(u), int(v), w
 
 
 def set_cover_to_text(instance: SetCoverInstance) -> str:
@@ -529,7 +573,10 @@ def set_cover_from_text(text: str) -> SetCoverInstance:
             if w is None:
                 w = parsed[parts[0]] = _parse_weight(parts[0])
             k = int(parts[1])
-            elems = list(map(int, parts[2:]))
+            try:  # held as machine ints until make_set_cover interns them
+                elems = array("q", map(int, islice(parts, 2, None)))
+            except OverflowError:  # too wide to be in range; keep it exact for the range check
+                elems = list(map(int, islice(parts, 2, None)))
             if len(elems) != k:
                 raise MalformedInstance(f"set line announces {k} elements, has {len(elems)}")
             sets.append(elems)

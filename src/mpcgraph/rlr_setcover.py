@@ -36,10 +36,11 @@ FAIL_FACTOR = 3
 
 def _cover_budget(f: int):
     """Memory budget of the dual-sharded cover engine: the f*n^(1+mu) space
-    bound times BUDGET_FACTOR."""
+    bound times BUDGET_FACTOR.  An empty instance (n = 0, so eta = 0) gets
+    the budget of eta = 1, as it gets one machine."""
 
     def budget(cfg: ClusterConfig) -> int:
-        return BUDGET_FACTOR * (f + 2) * cfg.eta
+        return BUDGET_FACTOR * (f + 2) * max(1, cfg.eta)
 
     return budget
 
@@ -60,10 +61,11 @@ def approx_sc_f(instance: SetCoverInstance, **kw) -> RunResult:
 
 def _preload_elements(instance: SetCoverInstance, cluster: Cluster) -> None:
     """Shard the dual view (element j -> T_j, alive bit) over the machines;
-    the central machine holds the residual weights and the cover."""
+    the central machine holds the residual weights and the cover.  A
+    machine's table keys and alive set share one int object per element."""
     m_count = cluster.config.machine_count
     for mid in range(m_count):
-        own = range(mid, instance.m, m_count)
+        own = list(range(mid, instance.m, m_count))
         table = {j: instance.dual[j] for j in own}
         size = sum(1 + len(t) for t in table.values())
         cluster.preload(mid, "elems", Payload(table, size))

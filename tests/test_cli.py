@@ -177,6 +177,28 @@ def test_infeasible_input_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("alg", ["sc-f", "sc-lnD"])
+def test_negative_element_count_exit_code(tmp_path, capsys, alg):
+    # Before: the header was accepted, and the run failed its own
+    # coverage assertion (exit 1).
+    path = tmp_path / "neg.sc"
+    path.write_text("1 -1\n1 0\n")
+    assert cli.main(["run", alg, str(path), "--epsilon", "1/10"]) == 3
+    assert "element count must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", sorted(cli.ALGORITHMS))
+def test_empty_instance_runs_and_verifies(tmp_path, capsys, alg):
+    # Before: vc-2 and sc-f failed with "memory budget must be positive",
+    # as eta = floor(0^(1+mu)) = 0.
+    path = tmp_path / "empty"
+    path.write_text("0 0\n")
+    sol = tmp_path / "sol.txt"
+    assert cli.main(["run", alg, str(path), "--epsilon", "1/10", "--out", str(sol)]) == 0
+    code, out = run_cli(capsys, "verify", str(path), str(sol), "--algorithm", alg, "--epsilon", "1/10")
+    assert code == 0, out
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--mu", "abc"), ("--epsilon", "x"), ("--c", "1/0"), ("--mu", "-1/5"), ("--epsilon", "-1/10"), ("--epsilon", "0")],

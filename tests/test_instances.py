@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -20,10 +21,12 @@ from mpcgraph.instances import (
     make_matching,
     make_set_cover,
     malformed_numbers,
+    read_graph,
     set_cover_from_text,
     set_cover_to_text,
     validate,
     vertex_cover_encoding,
+    write_graph,
 )
 from mpcgraph.oracles import greedy_vertex_colouring_seq
 
@@ -454,3 +457,62 @@ def test_equal_weights_share_one_fraction():
     assert len({id(w) for _, _, w in g.edges}) <= 3  # one per distinct value
     inst = generate_set_cover(40, 10, 0.3, (1, 2), seed=4)
     assert len({id(w) for w in inst.weights}) <= 2
+
+
+# ---------------------------------------------------------------------------
+# Memory: one int object per id, and no transient copies while building.
+
+
+def one_object_per_value(values) -> bool:
+    values = list(values)
+    return len({id(x) for x in values}) == len(set(values))
+
+
+def graph_ids_shared(g) -> bool:
+    return one_object_per_value(x for u, v, _ in g.edges for x in (u, v)) and one_object_per_value(
+        e for a in g.adjacency for e in a
+    )
+
+
+def set_cover_ids_shared(inst) -> bool:
+    return one_object_per_value(j for s in inst.sets for j in s) and one_object_per_value(
+        i for t in inst.dual for i in t
+    )
+
+
+def test_built_instances_hold_one_object_per_id():
+    # Ids above 256 are not the interpreter's cached small ints.
+    g = generate_graph(600, "1/2", (1, 5), seed=3)
+    assert graph_ids_shared(g)
+    assert graph_ids_shared(graph_from_text(graph_to_text(g)))
+    assert set_cover_ids_shared(vertex_cover_encoding(g))
+    inst = generate_set_cover(400, 900, 0.02, (1, 5), seed=3)
+    assert set_cover_ids_shared(inst)
+    assert set_cover_ids_shared(set_cover_from_text(set_cover_to_text(inst)))
+
+
+def traced_peak_mib(build, *args) -> float:
+    """Peak traced memory while ``build(*args)`` runs, result included."""
+    tracemalloc.start()
+    try:
+        built = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del built
+    return peak / 2**20
+
+
+def test_generate_set_cover_peak_memory():
+    # The benchmark's sc-f instance: the instance itself is about 5.5 MiB.
+    # Per-set Python sets, a covered set of all m ids and a second copy of
+    # every set while building peaked at 19.8 MiB.
+    assert traced_peak_mib(generate_set_cover, 2048, 43237, 3 / 2048, (1, 10), 12) < 12
+
+
+def test_read_graph_peak_memory(tmp_path):
+    # The benchmark's dense graph (m = 44k): the graph is about 5 MiB.  A
+    # parsed list of triples and the builder's copy of it peaked at 16.7 MiB.
+    path = tmp_path / "dense.graph"
+    write_graph(generate_graph(384, "4/5", (1, 10), seed=12), path)
+    assert traced_peak_mib(read_graph, path) < 14
