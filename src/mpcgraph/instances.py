@@ -170,12 +170,11 @@ def make_set_cover(n: int, m: int, sets: Sequence[Iterable[int]], weights: Seque
     """Build a SetCoverInstance, validating all invariants.
 
     A set given as a strictly increasing tuple is kept as it is.  Any other
-    set is sorted once: its range is checked at its two ends, its
-    duplicates between neighbours, and its elements are replaced by the
-    one int object ``ids[j]`` per element id.  One pass fills the dual
-    view, whose lists become tuples one at a time.  Weights are frozen as
-    in make_graph: one Fraction and one sign test per distinct weight
-    object.
+    set is sorted once: its range is checked at its two ends and its
+    duplicates between neighbours, and the pass that fills the dual view
+    replaces each element by the one int object ``ids[j]`` per element id.
+    The dual lists become tuples one at a time.  Weights are frozen as in
+    make_graph: one Fraction and one sign test per distinct weight object.
     """
     if len(sets) != n or len(weights) != n:
         raise MalformedInstance("set/weight counts disagree with n")
@@ -185,16 +184,22 @@ def make_set_cover(n: int, m: int, sets: Sequence[Iterable[int]], weights: Seque
     frozen_sets = []
     dual = [[] for _ in range(m)]
     for i, s in enumerate(sets):
-        kept = type(s) is tuple and all(map(lt, s, islice(s, 1, None)))
+        kept = type(s) is tuple and all(map(lt, s, s[1:]))
         elems = s if kept else sorted(s)
         if elems and not (0 <= elems[0] and elems[-1] < m):
             raise MalformedInstance(f"set {i} has an element outside [0, {m})")
-        if not kept:
-            if any(map(eq, elems, islice(elems, 1, None))):
+        if kept:
+            for j in elems:
+                dual[j].append(i)
+        else:
+            if any(map(eq, elems, elems[1:])):
                 raise MalformedInstance(f"set {i} has duplicate elements")
-            elems = tuple(map(ids.__getitem__, elems))
-        for j in elems:
-            dual[j].append(i)
+            row = []
+            for j in elems:
+                j = ids[j]
+                dual[j].append(i)
+                row.append(j)
+            elems = tuple(row)
         frozen_sets.append(elems)
     del ids
     frozen_weights = []
@@ -573,13 +578,13 @@ def set_cover_from_text(text: str) -> SetCoverInstance:
             if w is None:
                 w = parsed[parts[0]] = _parse_weight(parts[0])
             k = int(parts[1])
-            try:  # held as machine ints until make_set_cover interns them
-                elems = array("q", map(int, islice(parts, 2, None)))
-            except OverflowError:  # too wide to be in range; keep it exact for the range check
-                elems = list(map(int, islice(parts, 2, None)))
+            elems = list(map(int, parts[2:]))
             if len(elems) != k:
                 raise MalformedInstance(f"set line announces {k} elements, has {len(elems)}")
-            sets.append(elems)
+            try:  # held as machine ints until make_set_cover interns them
+                sets.append(array("q", elems))
+            except OverflowError:  # an id this wide is out of range; keep it for the range check
+                sets.append(elems)
             weights.append(w)
     return make_set_cover(n, m, sets, weights)
 
