@@ -492,13 +492,18 @@ def test_built_instances_hold_one_object_per_id():
 
 
 def traced_peak_mib(build, *args) -> float:
-    """Peak traced memory while ``build(*args)`` runs, result included."""
+    """Peak traced memory while ``build(*args)`` runs, result included,
+    above what was traced before it."""
+    tracing = tracemalloc.is_tracing()
     tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
     try:
         built = build(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
     del built
     return peak / 2**20
 
