@@ -509,15 +509,16 @@ def traced_peak_mib(build, *args) -> float:
 
 
 def test_generate_set_cover_peak_memory():
-    # The benchmark's sc-f instance: the instance itself is about 5.5 MiB.
-    # Per-set Python sets, a covered set of all m ids and a second copy of
-    # every set while building peaked at 19.8 MiB.
+    # The benchmark's sc-f instance, about 5.5 MiB itself.  The bound lies
+    # between this build's 8.4 MiB and the 19.8 MiB of a build that keeps
+    # a Python set per set, a set of all m ids and a second copy of each.
     assert traced_peak_mib(generate_set_cover, 2048, 43237, 3 / 2048, (1, 10), 12) < 12
 
 
 def test_read_graph_peak_memory(tmp_path):
-    # The benchmark's dense graph (m = 44k): the graph is about 5 MiB.  A
-    # parsed list of triples and the builder's copy of it peaked at 16.7 MiB.
+    # The benchmark's dense graph (m = 44k), about 5 MiB itself.  The bound
+    # lies between this parse's 11.7 MiB and the 16.5 MiB of a parse that
+    # keeps a list of triples which the builder then copies.
     path = tmp_path / "dense.graph"
     write_graph(generate_graph(384, "4/5", (1, 10), seed=12), path)
     assert traced_peak_mib(read_graph, path) < 14
