@@ -1,6 +1,9 @@
 from random import Random
 
+import pytest
+
 from conftest import random_graph
+from mpcgraph.engine import Cluster, RetriesExhausted, gather, gather_concat
 from mpcgraph.hungry import maximal_clique, mis_fast, mis_simple
 from mpcgraph.instances import generate_graph, make_graph
 from mpcgraph.oracles import is_maximal_clique, is_maximal_independent_set
@@ -133,3 +136,55 @@ def test_mis_rounds_counted():
     res = mis_simple(g, mu="1/5", c="1/2", seed=1)
     assert res.total_rounds == len(res.cluster.rounds)
     assert res.total_rounds > 0
+
+
+SCAN_GRAPHS = {
+    "1/2": generate_graph(64, "1/2", (1, 1), seed=5),
+    "2/5": generate_graph(96, "2/5", (1, 1), seed=8),
+    "4/5": generate_graph(40, "4/5", (1, 1), seed=6),
+}
+SCAN_REGIMES = [{"mu": "0"}, {"mu": "1/5"}, {"mu": "1/3"}, {"mu": "1/5", "eta": 16}]
+
+
+@pytest.mark.parametrize("c", sorted(SCAN_GRAPHS))
+@pytest.mark.parametrize("alg", ["mis-simple", "mis-fast", "clique"])
+def test_scans_see_only_alive_vertices(alg, c, monkeypatch):
+    """Every vertex a central scan reads, as a candidate, a pulled vertex or
+    a neighbour, is still alive: none is in an earlier scan's newly dead
+    set of the same attempt.  So the scan needs no record of the dead."""
+    run = {"mis-simple": mis_simple, "mis-fast": mis_fast, "clique": maximal_clique}[alg]
+    dead_of: dict = {}  # Cluster -> the vertices its scans have killed
+    checked = []
+    run_round = Cluster.run_round
+
+    def checking_run_round(self, step, label=""):
+        dead = dead_of.setdefault(self, set())
+        if not label.endswith((":scan", ":phase-mis")):
+            return run_round(self, step, label)
+
+        def checked_step(mid, store, inbox, rng):
+            if mid == 0:
+                actives = store["actives"].value if "actives" in store else None
+                rows = [row[1:] for _, cands in gather(inbox, "cand") for row in cands]
+                for v, nbrs in rows + gather_concat(inbox, "pull"):
+                    seen = [actives[lab - 1] for lab in nbrs] if actives is not None else list(nbrs)
+                    assert dead.isdisjoint([v, *seen]), f"{label} read a dead vertex"
+                checked.append(label)
+            return step(mid, store, inbox, rng)
+
+        record = run_round(self, checked_step, label)
+        dead.update(self.stores[0]["newly_dead"])
+        return record
+
+    monkeypatch.setattr(Cluster, "run_round", checking_run_round)
+    graph = SCAN_GRAPHS[c]
+    for regime in SCAN_REGIMES:
+        for seed in (1, 2):
+            try:
+                value = run(graph, seed=seed, **regime).value
+            except RetriesExhausted:
+                continue
+            finally:
+                dead_of.clear()
+            assert len(set(value)) == len(value)
+    assert checked
