@@ -1,22 +1,26 @@
 """Hungry-greedy maximal independent set and maximal clique.
 
-Vertices are sharded with their adjacency lists; machines track each own
-vertex's alive-neighbour set (so its alive degree), sample heavy vertices
-into groups, and ship the winners' alive-neighbour lists to the central
+Vertices are sharded with their adjacency lists; machines sample heavy
+vertices into groups and ship the winners' neighbour lists to the central
 machine, which adds a vertex per group when its degree still clears the
-phase threshold.  Dead-vertex deltas flow back down the broadcast tree and
-neighbour counters are repaired with a charged notify round plus a charged
-apply round.
+phase threshold.  Dead-vertex deltas flow back down the broadcast tree.
+Every vertex a machine ships is alive, so the central scan needs nothing
+but its inbox, and the solution lives only in machine 0's store.
 
 Group sampling draws the s smallest of i.i.d. uniform keys per group via
 order statistics, which is exactly uniform-without-replacement within a
 group and independent across groups.
 
-The maximal clique variant runs the same logic against the lazily
-materialized complement: machines keep the global active list (maintained
-through the charged delta broadcasts, realizing the relabeling scheme) and
-derive complement degrees and complement neighbour label lists on demand.
-The complement is never materialized in full.
+mis-simple and maximal clique run one phased loop over a view of the graph.
+The residual view (``_Residual``) is the alive graph: each machine keeps
+its alive vertices' alive-neighbour sets, repaired with a charged notify
+round plus a charged apply round.  The complement view (``_Complement``)
+is G's complement, which is never materialized: machines keep the global
+active list (maintained through the charged delta broadcasts, realizing
+the relabeling scheme) and derive complement degrees and complement
+neighbour label lists on demand.  A maximal clique of G is an MIS of its
+complement.  mis-fast samples by degree class and ends on the residual
+view's pull and sweep.
 """
 
 from __future__ import annotations
@@ -76,62 +80,46 @@ def _hungry_budget(graph: Graph, alpha_den: int):
     return budget
 
 
-def _preload_vertex_shards(graph: Graph, cluster: Cluster) -> None:
-    m_count = cluster.config.machine_count
-    for mid in range(m_count):
-        own = {v: graph.neighbours(v) for v in range(mid, graph.n, m_count)}
-        size = sum(1 + len(t) for t in own.values())
-        cluster.preload(mid, "adj", Payload(own, size))
-        anbrs = {v: frozenset(t) for v, t in own.items()}
-        cluster.preload(mid, "anbrs", Payload(anbrs, size))
-        alive = frozenset(own)
-        cluster.preload(mid, "alive", Payload(alive, len(alive)))
-        cluster.preload(mid, "vh", 0)
-
-
-def _greedy_scan(groups, dead: set) -> tuple[tuple, tuple]:
+def _greedy_scan(groups) -> tuple[tuple, tuple]:
     """Scan each group's candidates ``(v, neighbours)`` in order and add the
     first v that is not dead and keeps at least thr neighbours that are not
-    dead; v and those neighbours die.  ``groups`` yields ``(thr,
-    candidates)``.  Returns the added vertices and the newly dead ones,
-    sorted."""
-    dead_now = set(dead)
+    dead; v and those neighbours die.  Every shipped vertex is alive when
+    the scan starts, so only this scan's own deaths count.  ``groups``
+    yields ``(thr, candidates)``.  Returns the added vertices and the newly
+    dead ones, sorted."""
+    dead: set[int] = set()
     added: list[int] = []
-    newly_dead: list[int] = []
     for thr, cands in groups:
         for v, nbrs in cands:
-            if v in dead_now:
+            if v in dead:
                 continue
-            alive_nbrs = [u for u in nbrs if u not in dead_now]
+            alive_nbrs = [u for u in nbrs if u not in dead]
             if len(alive_nbrs) >= thr:
                 added.append(v)
-                newly_dead.append(v)
-                newly_dead.extend(alive_nbrs)
-                dead_now.add(v)
-                dead_now.update(alive_nbrs)
+                dead.add(v)
+                dead.update(alive_nbrs)
                 break
-    return tuple(added), tuple(sorted(set(newly_dead)))
+    return tuple(added), tuple(sorted(dead))
 
 
-def _scan_round(cluster: Cluster, key: str, groups_of, chosen: list, dead: set, label: str) -> tuple:
-    """The central round that runs ``_greedy_scan`` over ``groups_of(inbox)``
-    and appends the added vertices to store[key].  The driver's ``chosen``
-    and ``dead`` follow; returns the newly dead vertices."""
+def _scan_round(cluster: Cluster, view, groups_of, label: str) -> tuple:
+    """The central round that runs ``_greedy_scan`` over the view's reading
+    of ``groups_of(inbox)`` and appends the added vertices to machine 0's
+    ``view.key``.  Returns the newly dead vertices."""
+    key = view.key
 
     @central
     def scan_step(store, inbox):
-        added, newly_dead = _greedy_scan(groups_of(inbox), dead)
+        added, newly_dead = _greedy_scan(view.scan(store, groups_of(inbox)))
         members = store[key].value + added
         return {
             **store,
             key: Payload(members, len(members)),
-            "added": added,
+            "added": added,  # unread, but charged: the pinned peaks count it
             "newly_dead": newly_dead,
         }, []
 
     cluster.run_round(scan_step, label=label)
-    chosen.extend(cluster.stores[0]["added"])
-    dead.update(cluster.stores[0]["newly_dead"])
     return cluster.stores[0]["newly_dead"]
 
 
@@ -152,13 +140,27 @@ def _pulled_groups(inbox):
     return ((0, (cand,)) for cand in sorted(gather_concat(inbox, "pull")))
 
 
-def _final_sweep(cluster: Cluster, key: str, left_of, tag: str) -> tuple:
-    """All still-alive vertices have degree zero; they all join store[key].
-    ``left_of(store)`` lists a machine's alive vertices with their degrees.
-    Returns the vertices added."""
+def _pull_rounds(cluster: Cluster, view, thr: int, tag: str) -> tuple:
+    """Pull the (small) heavy set's subgraph to the central machine and
+    extend the solution by a lowest-id-first greedy MIS on it.  Returns the
+    newly dead vertices."""
+
+    def pull_step(mid, store, inbox, rng, thr=thr):
+        nbrs = view.nbrs(store)
+        heavy = [(v, nbrs(v)) for v in view.heavy(store, thr)]
+        return store, ([(0, "pull", heavy)] if heavy else [])
+
+    cluster.run_round(pull_step, label=f"{tag}:pull")
+    return _scan_round(cluster, view, _pulled_groups, f"{tag}:phase-mis")
+
+
+def _final_sweep(cluster: Cluster, view, tag: str) -> tuple:
+    """All still-alive vertices have degree zero; they all join machine 0's
+    ``view.key``.  Returns that finished solution, sorted."""
+    key = view.key
 
     def sweep_step(mid, store, inbox, rng):
-        left = left_of(store)
+        left = view.left(store)
         return store, ([(0, "sweep", left)] if left else [])
 
     cluster.run_round(sweep_step, label=f"{tag}:sweep-ship")
@@ -169,147 +171,243 @@ def _final_sweep(cluster: Cluster, key: str, left_of, tag: str) -> tuple:
         for v, deg in left:
             assert deg == 0, f"final sweep saw alive vertex {v} with degree {deg}"
         members = store[key].value + tuple(v for v, _ in sorted(left))
-        return {**store, key: Payload(members, len(members)), "added": tuple(v for v, _ in left)}, []
+        added = tuple(v for v, _ in left)  # unread, but charged like the scan's
+        return {**store, key: Payload(members, len(members)), "added": added}, []
 
     cluster.run_round(sweep_central, label=f"{tag}:sweep")
-    return cluster.stores[0]["added"]
+    return tuple(sorted(cluster.stores[0][key].value))
 
 
-def _dead_update_rounds(cluster: Cluster, delta: tuple, thr: int, tag: str) -> None:
-    """Broadcast the newly dead set, notify their alive neighbours, apply
-    the degree decrements and recount the heavy set at threshold thr."""
-    m_count = cluster.config.machine_count
-    cluster.broadcast("dead_delta", delta, label=f"{tag}:dead")
+def _vh_total(cluster: Cluster, label: str) -> int:
+    return cluster.aggregate("vh", lambda a, b: a + b, label=label)[0]
 
-    def notify_step(mid, store, inbox, rng):
-        dd = store["dead_delta"].value
-        alive = store["alive"].value
+
+class _Residual:
+    """The residual graph: each machine's alive vertices with their
+    alive-neighbour sets.  Dead vertices are dropped by a charged notify
+    round, and their neighbours' sets repaired by a charged apply round."""
+
+    tag, key = "mis", "I"
+
+    def preload(self, graph: Graph, cluster: Cluster) -> None:
+        m_count = cluster.config.machine_count
+        for mid in range(m_count):
+            own = {v: graph.neighbours(v) for v in range(mid, graph.n, m_count)}
+            size = sum(1 + len(t) for t in own.values())
+            cluster.preload(mid, "adj", Payload(own, size))
+            anbrs = {v: frozenset(t) for v, t in own.items()}
+            cluster.preload(mid, "anbrs", Payload(anbrs, size))
+            alive = frozenset(own)
+            cluster.preload(mid, "alive", Payload(alive, len(alive)))
+            cluster.preload(mid, "vh", 0)
+        cluster.preload(0, "I", Payload((), 0))
+
+    def heavy(self, store, thr: int) -> list:
         anbrs = store["anbrs"].value
-        out = []
-        local_dead = [w for w in dd if w in alive]
-        for w in local_dead:
-            for u in anbrs[w]:
-                out.append((u % m_count, "deadnbr", (u, w)))
-        if local_dead:
-            alive = alive - frozenset(local_dead)
-            anbrs = {v: s for v, s in anbrs.items() if v in alive}
-            size = sum(1 + len(s) for s in anbrs.values())
-            store = {
-                **store,
-                "alive": Payload(alive, len(alive)),
-                "anbrs": Payload(anbrs, size),
-            }
-        return store, out
+        return [v for v in sorted(store["alive"].value) if len(anbrs[v]) >= thr]
 
-    cluster.run_round(notify_step, label=f"{tag}:notify")
-
-    def apply_step(mid, store, inbox, rng, thr=thr):
-        alive = store["alive"].value
+    def nbrs(self, store):
         anbrs = store["anbrs"].value
-        hits: dict[int, set] = {}
-        for u, w in gather(inbox, "deadnbr"):
-            if u in alive:
-                hits.setdefault(u, set()).add(w)
-        if hits:
-            anbrs = dict(anbrs)
-            for u, gone in hits.items():
-                anbrs[u] = anbrs[u] - gone
-            size = sum(1 + len(s) for s in anbrs.values())
-            store = {**store, "anbrs": Payload(anbrs, size)}
-        vh = sum(1 for v in alive if len(anbrs[v]) >= thr)
-        return {**store, "vh": vh}, []
+        return lambda v: tuple(sorted(anbrs[v]))
 
-    cluster.run_round(apply_step, label=f"{tag}:apply")
+    def scan(self, store, groups):
+        return groups
 
-
-def _recount_round(cluster: Cluster, thr: int, tag: str) -> None:
-    def recount_step(mid, store, inbox, rng, thr=thr):
-        alive = store["alive"].value
+    def left(self, store) -> tuple:
         anbrs = store["anbrs"].value
-        vh = sum(1 for v in alive if len(anbrs[v]) >= thr)
-        return {**store, "vh": vh}, []
+        return tuple((v, len(anbrs[v])) for v in sorted(store["alive"].value))
 
-    cluster.run_round(recount_step, label=f"{tag}:recount")
+    def recount(self, cluster: Cluster, thr: int, tag: str) -> None:
+        def recount_step(mid, store, inbox, rng, thr=thr):
+            alive = store["alive"].value
+            anbrs = store["anbrs"].value
+            vh = sum(1 for v in alive if len(anbrs[v]) >= thr)
+            return {**store, "vh": vh}, []
+
+        cluster.run_round(recount_step, label=f"{tag}:recount")
+
+    def update(self, cluster: Cluster, delta: tuple, thr: int, tag: str) -> None:
+        """Broadcast the newly dead set, notify their alive neighbours, apply
+        the degree decrements and recount the heavy set at threshold thr."""
+        m_count = cluster.config.machine_count
+        cluster.broadcast("dead_delta", delta, label=f"{tag}:dead")
+
+        def notify_step(mid, store, inbox, rng):
+            dd = store["dead_delta"].value
+            alive = store["alive"].value
+            anbrs = store["anbrs"].value
+            out = []
+            local_dead = [w for w in dd if w in alive]
+            for w in local_dead:
+                for u in anbrs[w]:
+                    out.append((u % m_count, "deadnbr", (u, w)))
+            if local_dead:
+                alive = alive - frozenset(local_dead)
+                anbrs = {v: s for v, s in anbrs.items() if v in alive}
+                size = sum(1 + len(s) for s in anbrs.values())
+                store = {
+                    **store,
+                    "alive": Payload(alive, len(alive)),
+                    "anbrs": Payload(anbrs, size),
+                }
+            return store, out
+
+        cluster.run_round(notify_step, label=f"{tag}:notify")
+
+        def apply_step(mid, store, inbox, rng, thr=thr):
+            alive = store["alive"].value
+            anbrs = store["anbrs"].value
+            hits: dict[int, set] = {}
+            for u, w in gather(inbox, "deadnbr"):
+                if u in alive:
+                    hits.setdefault(u, set()).add(w)
+            if hits:
+                anbrs = dict(anbrs)
+                for u, gone in hits.items():
+                    anbrs[u] = anbrs[u] - gone
+                size = sum(1 + len(s) for s in anbrs.values())
+                store = {**store, "anbrs": Payload(anbrs, size)}
+            vh = sum(1 for v in alive if len(anbrs[v]) >= thr)
+            return {**store, "vh": vh}, []
+
+        cluster.run_round(apply_step, label=f"{tag}:apply")
+
+    def settle(self, cluster: Cluster, newly: tuple, thr: int, tag: str) -> None:
+        if newly:
+            self.update(cluster, newly, thr, f"{tag}:phase-upd")
+        self.recount(cluster, thr, f"{tag}:post")
+        assert _vh_total(cluster, f"{tag}:vh2") == 0, "phase-end MIS left a heavy vertex alive"
+
+    def extras(self, passes: int, vh_series: list) -> dict:
+        return {"vh_series": vh_series, "passes": passes}
 
 
-def _mis_left(store) -> tuple:
-    anbrs = store["anbrs"].value
-    return tuple((v, len(anbrs[v])) for v in sorted(store["alive"].value))
+class _Complement:
+    """G's complement, derived on demand and never materialized: machines
+    keep their own adjacency and the global active list (the relabeling
+    scheme), and complement neighbours travel as 1-based labels into that
+    list.  An MIS of the complement is a maximal clique of G."""
+
+    tag, key = "clique", "K"
+
+    def preload(self, graph: Graph, cluster: Cluster) -> None:
+        m_count = cluster.config.machine_count
+        all_active = tuple(range(graph.n))
+        for mid in range(m_count):
+            own = {v: frozenset(graph.neighbours(v)) for v in range(mid, graph.n, m_count)}
+            size = sum(1 + len(t) for t in own.values())
+            cluster.preload(mid, "adj", Payload(own, size))
+            cluster.preload(mid, "actives", Payload(all_active, len(all_active)))
+            cluster.preload(mid, "vh", 0)
+        cluster.preload(0, "K", Payload((), 0))
+
+    def degrees(self, store):
+        """This machine's active vertices with their complement degrees."""
+        adj = store["adj"].value
+        aset = set(store["actives"].value)
+        return ((v, len(aset) - 1 - len(adj[v] & aset)) for v in sorted(adj) if v in aset)
+
+    def left(self, store) -> tuple:
+        return tuple(self.degrees(store))
+
+    def heavy(self, store, thr: int) -> list:
+        return [v for v, deg in self.degrees(store) if deg >= thr]
+
+    def nbrs(self, store):
+        adj = store["adj"].value
+        actives = store["actives"].value
+
+        def labels(v):
+            own = adj[v]
+            return tuple(lab + 1 for lab, u in enumerate(actives) if u != v and u not in own)
+
+        return labels
+
+    def scan(self, store, groups):
+        """Read the candidates' labels against machine 0's active list."""
+        actives = store["actives"].value
+        for thr, cands in groups:
+            yield thr, [(v, (actives[lab - 1] for lab in labels)) for v, labels in cands]
+
+    def recount(self, cluster: Cluster, thr: int, tag: str) -> None:
+        self.update(cluster, (), thr, f"{tag}:recount")
+
+    def update(self, cluster: Cluster, delta: tuple, thr: int, tag: str) -> None:
+        """Broadcast the newly dead set; each machine drops it from its
+        active list and recounts its heavy vertices at threshold thr."""
+        cluster.broadcast("dead_delta", delta, label=f"{tag}:dead")
+
+        def apply_step(mid, store, inbox, rng, thr=thr):
+            dd = store["dead_delta"].value
+            actives = store["actives"].value
+            if dd:
+                gone = set(dd)
+                actives = tuple(v for v in actives if v not in gone)
+            store = {**store, "actives": Payload(actives, len(actives))}
+            return {**store, "vh": len(self.heavy(store, thr))}, []
+
+        cluster.run_round(apply_step, label=f"{tag}:apply")
+
+    def settle(self, cluster: Cluster, newly: tuple, thr: int, tag: str) -> None:
+        if newly:
+            self.update(cluster, newly, thr, f"{tag}:post")
+
+    def extras(self, passes: int, vh_series: list) -> dict:
+        return {"passes": passes}
 
 
-def mis_simple(graph: Graph, **kw) -> RunResult:
-    """Maximal independent set by phased heavy-vertex sampling (the simple
-    O(1/mu^2)-round variant, phase exponent alpha = mu/2)."""
-    cfg = cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
-    return run_with_retries(cfg, lambda cluster: _mis_simple_attempt(graph, cluster))
-
-
-def _mis_simple_attempt(graph: Graph, cluster: Cluster):
-    cfg = cluster.config
+def _phased_attempt(graph: Graph, cluster: Cluster, view):
+    """Heavy-vertex sampling in phases with alpha = mu/2.  Phase i samples
+    groups of vertices of degree at least n^(1-i*alpha) until fewer than
+    n^(i*alpha) remain, pulls those to the central machine, and hands the
+    newly dead to ``view.settle``."""
     n = max(2, graph.n)
-    mu = cfg.mu
+    mu = cluster.config.mu
     alpha, phases = alpha_classes(mu, 2)
     s_size = ipow_ceil(n, mu / 2)
-
-    _preload_vertex_shards(graph, cluster)
-    cluster.preload(0, "I", Payload((), 0))
-
-    independent: list[int] = []
-    dead: set[int] = set()
+    view.preload(graph, cluster)
     passes = 0
     vh_series: list[tuple[int, int, int]] = []
 
     for phase in range(1, phases + 1):
+        tag = f"{view.tag}[{phase}]"
         thr = pow_threshold(n, 1 - phase * alpha)
         groups = ipow_ceil(n, phase * alpha)
-        cluster.broadcast("phase", phase, label=f"mis[{phase}]:phase")
-        _recount_round(cluster, thr, f"mis[{phase}]")
-        vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"mis[{phase}]:vh")
+        cluster.broadcast("phase", phase, label=f"{tag}:phase")
+        view.recount(cluster, thr, tag)
+        vh = _vh_total(cluster, f"{tag}:vh")
 
         while vh >= groups:
             passes += 1
             vh_before = vh
 
             def cand_step(mid, store, inbox, rng, thr=thr, groups=groups):
-                alive = store["alive"].value
-                anbrs = store["anbrs"].value
-                heavy = sorted(v for v in alive if len(anbrs[v]) >= thr)
-                return store, _candidates(rng, heavy, range(groups), s_size, lambda v: tuple(sorted(anbrs[v])))
+                return store, _candidates(rng, view.heavy(store, thr), range(groups), s_size, view.nbrs(store))
 
-            cluster.run_round(cand_step, label=f"mis[{phase}]:cand")
+            cluster.run_round(cand_step, label=f"{tag}:cand")
 
             def groups_of(inbox, thr=thr):
                 return _sampled_groups(inbox, s_size, lambda j: thr)
 
-            newly = _scan_round(cluster, "I", groups_of, independent, dead, f"mis[{phase}]:scan")
-            _dead_update_rounds(cluster, newly, thr, f"mis[{phase}]")
-            vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"mis[{phase}]:vh")
+            newly = _scan_round(cluster, view, groups_of, f"{tag}:scan")
+            view.update(cluster, newly, thr, tag)
+            vh = _vh_total(cluster, f"{tag}:vh")
             vh_series.append((phase, vh_before, vh))
 
-        _phase_end_pull(cluster, dead, independent, thr, f"mis[{phase}]")
-        _recount_round(cluster, thr, f"mis[{phase}]:post")
-        vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"mis[{phase}]:vh2")
-        assert vh == 0, "phase-end MIS left a heavy vertex alive"
+        newly = _pull_rounds(cluster, view, thr, tag)
+        view.settle(cluster, newly, thr, tag)
 
-    independent.extend(_final_sweep(cluster, "I", _mis_left, "mis"))
-    extras = {"vh_series": vh_series, "passes": passes}
-    return tuple(sorted(independent)), passes, extras
+    return _final_sweep(cluster, view, view.tag), passes, view.extras(passes, vh_series)
 
 
-def _phase_end_pull(cluster, dead, independent, thr, tag) -> None:
-    """Pull the (small) heavy set's alive subgraph to the central machine
-    and extend I by a lowest-id-first greedy MIS on it."""
+_RESIDUAL, _COMPLEMENT = _Residual(), _Complement()
 
-    def pull_step(mid, store, inbox, rng, thr=thr):
-        alive = store["alive"].value
-        anbrs = store["anbrs"].value
-        heavy = [(v, tuple(sorted(anbrs[v]))) for v in sorted(alive) if len(anbrs[v]) >= thr]
-        return store, ([(0, "pull", heavy)] if heavy else [])
 
-    cluster.run_round(pull_step, label=f"{tag}:pull")
-    newly = _scan_round(cluster, "I", _pulled_groups, independent, dead, f"{tag}:phase-mis")
-    if newly:
-        _dead_update_rounds(cluster, newly, thr, f"{tag}:phase-upd")
+def mis_simple(graph: Graph, **kw) -> RunResult:
+    """Maximal independent set by phased heavy-vertex sampling (the simple
+    O(1/mu^2)-round variant, phase exponent alpha = mu/2)."""
+    cfg = cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
+    return run_with_retries(cfg, lambda cluster: _phased_attempt(graph, cluster, _RESIDUAL))
 
 
 def mis_fast(graph: Graph, **kw) -> RunResult:
@@ -328,12 +426,7 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
     edge_floor = ipow_floor(n, 1 + mu)
     class_lo = [pow_threshold(n, 1 - i * alpha) for i in range(classes + 2)]
     group_counts = [ipow_ceil(n, (i + 1) * alpha) for i in range(classes + 2)]
-
-    _preload_vertex_shards(graph, cluster)
-    cluster.preload(0, "I", Payload((), 0))
-
-    independent: list[int] = []
-    dead: set[int] = set()
+    _RESIDUAL.preload(graph, cluster)
 
     # Initially isolated vertices join I outright.
     def iso_step(mid, store, inbox, rng):
@@ -349,11 +442,8 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
         return {**store, "I": Payload(iset, len(iset)), "added": tuple(sorted(iso))}, []
 
     cluster.run_round(iso_central, label="mis2:iso")
-    iso_added = cluster.stores[0]["added"]
-    independent.extend(iso_added)
-    dead.update(iso_added)
-    if iso_added:
-        _dead_update_rounds(cluster, tuple(iso_added), 1, "mis2:iso-upd")
+    if cluster.stores[0]["added"]:
+        _RESIDUAL.update(cluster, cluster.stores[0]["added"], 1, "mis2:iso-upd")
 
     def dsum_round():
         def dsum_step(mid, store, inbox, rng):
@@ -366,17 +456,16 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
         return total // 2
 
     def cand_step(mid, store, inbox, rng):
-        alive = store["alive"].value
         anbrs = store["anbrs"].value
         by_class: dict[int, list] = {}
-        for v in sorted(alive):
+        for v in sorted(store["alive"].value):
             d = len(anbrs[v])
             if d:
                 by_class.setdefault(size_class(class_lo, classes, d), []).append(v)
         out = []
         for i, members in sorted(by_class.items()):
             gids = [(i, j) for j in range(group_counts[i])]
-            out.extend(_candidates(rng, members, gids, s_size, lambda v: tuple(sorted(anbrs[v]))))
+            out.extend(_candidates(rng, members, gids, s_size, _RESIDUAL.nbrs(store)))
         return store, out
 
     def groups_of(inbox):
@@ -390,146 +479,21 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
     while e_k >= edge_floor:
         iterations += 1
         cluster.run_round(cand_step, label=f"mis2[{iterations}]:cand")
-        newly = _scan_round(cluster, "I", groups_of, independent, dead, f"mis2[{iterations}]:scan")
-        _dead_update_rounds(cluster, newly, 1, f"mis2[{iterations}]")
+        newly = _scan_round(cluster, _RESIDUAL, groups_of, f"mis2[{iterations}]:scan")
+        _RESIDUAL.update(cluster, newly, 1, f"mis2[{iterations}]")
         e_k = dsum_round()
         e_series.append(e_k)
 
     # Finale: the alive subgraph has < n^(1+mu) edges; greedy MIS centrally.
-    _phase_end_pull(cluster, dead, independent, 1, "mis2:finale")
-    independent.extend(_final_sweep(cluster, "I", _mis_left, "mis2"))
+    newly = _pull_rounds(cluster, _RESIDUAL, 1, "mis2:finale")
+    if newly:
+        _RESIDUAL.update(cluster, newly, 1, "mis2:finale:phase-upd")
     extras = {"e_series": e_series}
-    return tuple(sorted(independent)), iterations, extras
-
-
-# ---------------------------------------------------------------------------
-# Maximal clique via the complement relabeling scheme
+    return _final_sweep(cluster, _RESIDUAL, "mis2"), iterations, extras
 
 
 def maximal_clique(graph: Graph, **kw) -> RunResult:
     """Maximal clique: the heavy-sampling MIS run on the lazily derived
     complement graph, using label lists against the global active set."""
     cfg = cluster_config(max(2, graph.n), graph.m, _hungry_budget(graph, 2), **kw)
-    return run_with_retries(cfg, lambda cluster: _clique_attempt(graph, cluster))
-
-
-def _comp_degree(own_adj, actives_set, v) -> int:
-    return len(actives_set) - 1 - len(own_adj[v] & actives_set)
-
-
-def _comp_labels(own_adj, actives_tuple, v) -> tuple:
-    """v's complement neighbours as 1-based labels into the active list."""
-    nbrs = own_adj[v]
-    return tuple(lab + 1 for lab, u in enumerate(actives_tuple) if u != v and u not in nbrs)
-
-
-def _comp_heavy(store, thr: int) -> list:
-    """This machine's active vertices of complement degree at least thr."""
-    adj = store["adj"].value
-    aset = set(store["actives"].value)
-    return [v for v in sorted(adj) if v in aset and _comp_degree(adj, aset, v) >= thr]
-
-
-def _clique_scan_round(cluster: Cluster, n: int, groups_of, clique: list, dead: set, label: str) -> tuple:
-    """The greedy scan on the complement: candidate label lists are read
-    against the active list, which is every vertex not yet dead."""
-    snapshot = tuple(v for v in range(n) if v not in dead)
-
-    def comp_groups(inbox):
-        for thr, cands in groups_of(inbox):
-            yield thr, [(v, (snapshot[lab - 1] for lab in labels)) for v, labels in cands]
-
-    return _scan_round(cluster, "K", comp_groups, clique, dead, label)
-
-
-def _clique_attempt(graph: Graph, cluster: Cluster):
-    cfg = cluster.config
-    n = max(2, graph.n)
-    mu = cfg.mu
-    alpha, phases = alpha_classes(mu, 2)
-    s_size = ipow_ceil(n, mu / 2)
-    m_count = cfg.machine_count
-
-    all_active = tuple(range(graph.n))
-    for mid in range(m_count):
-        own = {v: frozenset(graph.neighbours(v)) for v in range(mid, graph.n, m_count)}
-        size = sum(1 + len(t) for t in own.values())
-        cluster.preload(mid, "adj", Payload(own, size))
-        cluster.preload(mid, "actives", Payload(all_active, len(all_active)))
-        cluster.preload(mid, "vh", 0)
-    cluster.preload(0, "K", Payload((), 0))
-
-    clique: list[int] = []
-    dead: set[int] = set()
-
-    def dead_rounds(delta: tuple, thr: int, tag: str):
-        cluster.broadcast("dead_delta", delta, label=f"{tag}:dead")
-
-        def apply_step(mid, store, inbox, rng, thr=thr):
-            dd = store["dead_delta"].value
-            actives_t = store["actives"].value
-            if dd:
-                gone = set(dd)
-                actives_t = tuple(v for v in actives_t if v not in gone)
-            aset = set(actives_t)
-            adj = store["adj"].value
-            vh = sum(
-                1
-                for v in adj
-                if v in aset and _comp_degree(adj, aset, v) >= thr
-            )
-            return {
-                **store,
-                "actives": Payload(actives_t, len(actives_t)),
-                "vh": vh,
-            }, []
-
-        cluster.run_round(apply_step, label=f"{tag}:apply")
-
-    passes = 0
-    for phase in range(1, phases + 1):
-        thr = pow_threshold(n, 1 - phase * alpha)
-        cluster.broadcast("phase", phase, label=f"clique[{phase}]:phase")
-        dead_rounds((), thr, f"clique[{phase}]:recount")
-        groups = ipow_ceil(n, phase * alpha)
-        vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"clique[{phase}]:vh")
-
-        while vh >= groups:
-            passes += 1
-
-            def cand_step(mid, store, inbox, rng, thr=thr, groups=groups):
-                adj = store["adj"].value
-                actives_t = store["actives"].value
-                heavy = _comp_heavy(store, thr)
-                return store, _candidates(rng, heavy, range(groups), s_size, lambda v: _comp_labels(adj, actives_t, v))
-
-            cluster.run_round(cand_step, label=f"clique[{phase}]:cand")
-
-            def groups_of(inbox, thr=thr):
-                return _sampled_groups(inbox, s_size, lambda j: thr)
-
-            newly = _clique_scan_round(cluster, graph.n, groups_of, clique, dead, f"clique[{phase}]:scan")
-            dead_rounds(newly, thr, f"clique[{phase}]")
-            vh, _ = cluster.aggregate("vh", lambda a, b: a + b, label=f"clique[{phase}]:vh")
-
-        # Phase end: pull the heavy complement subgraph, greedy complement-MIS.
-        def pull_step(mid, store, inbox, rng, thr=thr):
-            adj = store["adj"].value
-            actives_t = store["actives"].value
-            heavy = [(v, _comp_labels(adj, actives_t, v)) for v in _comp_heavy(store, thr)]
-            return store, ([(0, "pull", heavy)] if heavy else [])
-
-        cluster.run_round(pull_step, label=f"clique[{phase}]:pull")
-        newly = _clique_scan_round(cluster, graph.n, _pulled_groups, clique, dead, f"clique[{phase}]:phase-mis")
-        if newly:
-            dead_rounds(newly, thr, f"clique[{phase}]:post")
-
-    # Final sweep: remaining actives are pairwise adjacent in G; all join K.
-    def clique_left(store) -> tuple:
-        adj = store["adj"].value
-        aset = set(store["actives"].value)
-        return tuple((v, _comp_degree(adj, aset, v)) for v in sorted(adj) if v in aset)
-
-    clique.extend(_final_sweep(cluster, "K", clique_left, "clique"))
-    extras = {"passes": passes}
-    return tuple(sorted(clique)), passes, extras
+    return run_with_retries(cfg, lambda cluster: _phased_attempt(graph, cluster, _COMPLEMENT))
