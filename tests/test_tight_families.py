@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from mpcgraph.instances import validate_b_matching
+from mpcgraph.instances import validate, validate_b_matching, vertex_cover_encoding
 from mpcgraph.oracles import brute_force
 from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching
-from tight_families import relabelled_p4_paths
+from mpcgraph.rlr_setcover import approx_sc_f, vertex_cover_2approx
+from tight_families import disjoint_unit_edges, relabelled_p4_paths, singleton_sets
 
 EPS = Fraction(1, 10)
 RUNS = {
@@ -33,3 +34,33 @@ def test_relabelled_p4_paths_reach_200_over_101(alg):
         ratio = opt / matching.weight(g)
         assert ratio <= bound
         assert ratio >= Fraction(19, 10)
+
+
+def test_tight_cover_optima():
+    g, opt = disjoint_unit_edges(3)
+    assert brute_force("setcover", vertex_cover_encoding(g))[0] == opt == 3
+    instance, opt = singleton_sets(3, 3)
+    assert brute_force("setcover", instance)[0] == opt == 3
+
+
+def test_disjoint_unit_edges_reach_2():
+    g, opt = disjoint_unit_edges(50)
+    instance = vertex_cover_encoding(g)
+    for seed in range(1, 11):
+        cover = vertex_cover_2approx(g, seed=seed).value
+        assert validate(cover, instance).feasible
+        ratio = cover.weight(instance) / opt
+        assert ratio <= 2
+        assert ratio == 2
+
+
+@pytest.mark.parametrize("f", [2, 3, 5])
+def test_singleton_sets_reach_f(f):
+    instance, opt = singleton_sets(40, f)
+    assert instance.frequency == f
+    for seed in range(1, 11):
+        cover = approx_sc_f(instance, seed=seed).value
+        assert validate(cover, instance).feasible
+        ratio = cover.weight(instance) / opt
+        assert ratio <= f
+        assert ratio == f

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpcgraph.instances import Graph, make_graph
+from mpcgraph.instances import Graph, SetCoverInstance, make_graph, make_set_cover
 
 MIDDLE_WEIGHT = Fraction(101, 100)
 
@@ -31,3 +31,26 @@ def relabelled_p4_paths(paths: int) -> tuple[Graph, Fraction]:
         a, d = 2 * paths + 2 * k, 2 * paths + 2 * k + 1
         outer += [(a, 2 * k, 1), (2 * k + 1, d, 1)]
     return make_graph(4 * paths, middle + outer), Fraction(2 * paths)
+
+
+def disjoint_unit_edges(k: int) -> tuple[Graph, int]:
+    """``k`` disjoint unit-weight edges, and the optimum weight of a vertex
+    cover on them under unit vertex weights: one end of each edge.
+
+    Local ratio lowers both ends of an edge by the same amount, so equal
+    weights reach zero together and both ends join the cover: 2k against
+    k, a ratio of exactly 2.
+    """
+    return make_graph(2 * k, [(2 * i, 2 * i + 1, 1) for i in range(k)]), k
+
+
+def singleton_sets(m: int, f: int) -> tuple[SetCoverInstance, int]:
+    """``m`` elements, each in ``f`` singleton sets of unit weight (element
+    j is in sets f*j to f*j + f - 1), and the optimum cover weight, m.
+
+    Local ratio lowers all f sets of an element together, so all of them
+    reach zero at once and join the cover: f*m against m, a ratio of
+    exactly f.
+    """
+    sets = [(j,) for j in range(m) for _ in range(f)]
+    return make_set_cover(len(sets), m, sets, [1] * len(sets)), m
