@@ -5,6 +5,9 @@ its exit code and the SHA-256 of its stdout, its solution file and its
 trace file.  The expected values live in ``golden_digests.json``; a change
 that alters any output byte of any algorithm, at any seed, eta or trace
 level in the matrix, fails this test.
+
+Without pytest, ``PYTHONPATH=src python tests/test_golden.py`` compares
+the same cells and exits 1 if any changed.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
+import tempfile
 from pathlib import Path
 
 from mpcgraph import cli
@@ -98,3 +104,20 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert sorted(actual) == sorted(expected)
     changed = sorted(key for key in expected if actual[key] != expected[key])
     assert not changed, f"{len(changed)} cells changed: {changed}"
+
+
+class _Environ:  # the one monkeypatch call golden_outputs makes
+    def setenv(self, name: str, value: str) -> None:
+        os.environ[name] = value
+
+
+if __name__ == "__main__":
+    expected = json.loads(GOLDEN.read_text(encoding="ascii"))
+    with tempfile.TemporaryDirectory() as work:
+        actual = golden_outputs(Path(work), _Environ())
+    changed = sorted(key for key in expected.keys() | actual.keys() if actual.get(key) != expected.get(key))
+    same = sum(actual.get(key) == value for key, value in expected.items())
+    print(f"{same}/{len(expected)} cells identical")
+    for key in changed:
+        print(f"changed: {key}")
+    sys.exit(1 if changed else 0)
