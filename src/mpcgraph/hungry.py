@@ -4,8 +4,8 @@ Vertices are sharded with their adjacency lists; machines sample heavy
 vertices into groups and ship the winners' neighbour lists to the central
 machine, which adds a vertex per group when its degree still clears the
 phase threshold.  Dead-vertex deltas flow back down the broadcast tree.
-Every vertex a machine ships is alive, so the central scan needs nothing
-but its inbox, and the solution lives only in machine 0's store.
+Every vertex a machine ships is alive, so the central scan reads only its
+inbox and machine 0's store, and the solution lives only in that store.
 
 Group sampling draws the s smallest of i.i.d. uniform keys per group via
 order statistics, which is exactly uniform-without-replacement within a

@@ -153,7 +153,9 @@ def test_scans_see_only_alive_vertices(alg, c, monkeypatch):
     a neighbour, is still alive: none is in an earlier scan's newly dead
     set of the same attempt.  So the scan needs no record of the dead."""
     run = {"mis-simple": mis_simple, "mis-fast": mis_fast, "clique": maximal_clique}[alg]
-    dead_of: dict = {}  # Cluster -> the vertices its scans have killed
+    # Cluster -> the vertices its scans have killed; keyed on the object,
+    # not on id(), because ids are reused across runs.
+    dead_of: dict = {}
     checked = []
     run_round = Cluster.run_round
 
