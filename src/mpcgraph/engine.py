@@ -133,14 +133,6 @@ def words(obj) -> int:
     raise TypeError(f"unsized payload type {type(obj).__name__}")
 
 
-def _probe_key(value):
-    """What ``aggregate``'s __debug__ probe compares: a Payload (which has
-    no ``__eq__``) by its wrapped value and declared size."""
-    if isinstance(value, Payload):
-        return value.value, value.word_size
-    return value
-
-
 def gather(inbox, key: str) -> list:
     """The values of the messages in ``inbox`` sent under ``key``, in inbox
     order (by sender)."""
@@ -566,19 +558,12 @@ class Cluster:
         """Fold per-machine store[key] values up the tree to machine 0.
 
         Returns (value, rounds used); combine must be associative and
-        commutative (probed under __debug__).  The folded value is at the
-        central machine (store plus in-flight inbox) when this returns.
+        commutative.  The folded value is at the central machine (store
+        plus in-flight inbox) when this returns.
         """
         m = self.config.machine_count
         if m == 1:
             return self.stores[0][key], 0
-        if __debug__:
-            probe = [self.stores[mid % m].get(key) for mid in range(3)]
-            if all(p is not None for p in probe):
-                a, b, c = probe
-                left = _probe_key(combine(combine(a, b), c))
-                assert left == _probe_key(combine(a, combine(b, c))), "combine not associative"
-                assert left == _probe_key(combine(combine(b, a), c)), "combine not commutative"
         k = self.config.fanout
         depth = log_ceil(m, k)
 
