@@ -86,8 +86,8 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
     e_size = graph.m
     iterations = 0
     e_series = [e_size]
-    delta_series = [_alive_max_degree(cluster, n)]
     push_order: list[int] = []
+    heavy = _heavy_test(Fraction(1))
 
     while e_size > 0:
         iterations += 1
@@ -119,18 +119,7 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
                 by_vertex.setdefault(rec[2], []).append(rec)
             pushes = []
             for v in sorted(by_vertex):
-                best = None
-                best_key = None
-                for eid, a, b2, w in by_vertex[v]:
-                    if eid in red.pushed:
-                        continue
-                    g = w - red.phi[a] - red.phi[b2]
-                    if g > 0 and (best_key is None or (g, -eid) > best_key):
-                        best_key = (g, -eid)
-                        best = (eid, a, b2, w)
-                if best is not None:
-                    red.push(*best)
-                    pushes.append(best[0])
+                pushes += _push_best(red, by_vertex[v], 1, heavy)
             return _publish(store, red, pushes, m_count)
 
         cluster.run_round(central_step, label=f"match[{iterations}]:central")
@@ -145,7 +134,7 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
             new_alive = []
             for eid, u, v, w in store["edges"].value:
                 if eid in alive and eid not in dead:
-                    if w - phi.get(u, 0) - phi.get(v, 0) > 0:
+                    if heavy(w, phi.get(u, 0), phi.get(v, 0)):
                         new_alive.append(eid)
             alive = frozenset(new_alive)
             return {
@@ -158,14 +147,9 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
         cluster.run_round(apply_step, label=f"match[{iterations}]:apply")
         e_size, _ = cluster.aggregate_and_broadcast("esize", lambda a, b: a + b, label=f"match[{iterations}]:count")
         e_series.append(e_size)
-        delta_series.append(_alive_max_degree(cluster, n))
 
     matching = make_matching(graph, _unwind_round(cluster, n, None, "match"))
-    extras = {
-        "e_series": e_series,
-        "delta_series": delta_series,
-        "push_order": push_order,
-    }
+    extras = {"e_series": e_series, "push_order": push_order}
     return matching, iterations, extras
 
 
@@ -216,18 +200,6 @@ def _unwind_round(cluster: Cluster, n: int, caps: list[int] | None, tag: str) ->
 
     cluster.run_round(unwind_step, label=f"{tag}:unwind")
     return cluster.stores[0]["matching"]
-
-
-def _alive_max_degree(cluster: Cluster, n: int) -> int:
-    # Instrumentation only (driver-side degree bookkeeping); not charged.
-    deg = [0] * n
-    for store in cluster.stores:
-        alive = store["alive"].value
-        for eid, u, v, _ in store["edges"].value:
-            if eid in alive:
-                deg[u] += 1
-                deg[v] += 1
-    return max(deg, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +328,9 @@ def _bmatching_attempt(graph: Graph, intw: list[int], caps: list[int], epsilon: 
 
 
 def _heavy_test(one_plus_eps: Fraction):
-    """The b-matching alive test ``w > (1+eps)(phi_a + phi_b)`` for an int
-    weight w and Fraction or int phi values, without building a Fraction:
-    with 1+eps = r/s, phi_a = na/da and phi_b = nb/db it is
+    """The alive test ``w > (1+eps)(phi_a + phi_b)`` (eps = 0 for matching)
+    for an int weight w and Fraction or int phi values, without building a
+    Fraction: with 1+eps = r/s, phi_a = na/da and phi_b = nb/db it is
     ``w*s*da*db > r*(na*db + nb*da)``."""
     r, s = one_plus_eps.numerator, one_plus_eps.denominator
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
 from mpcgraph.oracles import MatchingReduction, brute_force, lr_bmatching_seq, lr_matching_seq
@@ -88,12 +90,33 @@ def test_e_series_monotone_and_terminates():
     assert all(b <= a for a, b in zip(e, e[1:]))
 
 
-def test_degree_shrink_and_first_phase_instrumented():
+def _max_alive_degree(cluster: Cluster) -> int:
+    deg = Counter()
+    for store in cluster.stores:
+        alive = store["alive"].value
+        for eid, u, v, _ in store["edges"].value:
+            if eid in alive:
+                deg[u] += 1
+                deg[v] += 1
+    return max(deg.values(), default=0)
+
+
+def test_degree_shrink_and_first_phase_instrumented(monkeypatch):
     """Degree-shrink instrumentation at n = 1024, mu = 1/5: in >= 90% of 50
     seeded runs, every iteration i > 2 shrinks the max alive degree by
-    n^(mu/4), and d_2(v) <= n^c."""
+    n^(mu/4), and d_2(v) <= n^c.  The max alive degree is read from the
+    machines' stores after each iteration's edge count."""
     n, mu_num = 1024, Fraction(1, 5)
     graph = generate_graph(n, "2/5", (1, 10), seed=404)
+    series: dict[Cluster, list[int]] = {}
+    count = Cluster.aggregate_and_broadcast
+
+    def counted(self, *args, **kwargs):
+        out = count(self, *args, **kwargs)
+        series.setdefault(self, []).append(_max_alive_degree(self))
+        return out
+
+    monkeypatch.setattr(Cluster, "aggregate_and_broadcast", counted)
     # exact comparators: after <= before / n^(1/20), delta2 <= n^(2/5)
     def shrink_ok(after, before):
         return after**20 * n <= before**20
@@ -105,7 +128,8 @@ def test_degree_shrink_and_first_phase_instrumented():
     cap_pass = 0
     for seed in range(50):
         res = approx_max_matching(graph, mu="1/5", c="2/5", seed=seed)
-        deltas = res.extras["delta_series"]
+        deltas = [graph.max_degree, *series[res.cluster]]
+        series.clear()
         ok = all(
             shrink_ok(deltas[i + 1], deltas[i])
             for i in range(3, len(deltas) - 1)
