@@ -276,7 +276,8 @@ class _Residual:
         if newly:
             self.update(cluster, newly, thr, f"{tag}:phase-upd")
         self.recount(cluster, thr, f"{tag}:post")
-        assert _vh_total(cluster, f"{tag}:vh2") == 0, "phase-end MIS left a heavy vertex alive"
+        heavy_left = _vh_total(cluster, f"{tag}:vh2")  # a charged round, also under -O
+        assert heavy_left == 0, "phase-end MIS left a heavy vertex alive"
 
     def extras(self, passes: int, vh_series: list) -> dict:
         return {"vh_series": vh_series, "passes": passes}

@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -104,6 +105,16 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert sorted(actual) == sorted(expected)
     changed = sorted(key for key in expected if actual[key] != expected[key])
     assert not changed, f"{len(changed)} cells changed: {changed}"
+
+
+def test_outputs_match_golden_digests_under_python_O(tmp_path):
+    """``python -O`` strips asserts; every cell must still be identical."""
+    root = Path(__file__).resolve().parents[1]
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", str(root / "tests" / "test_golden.py")], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class _Environ:  # the one monkeypatch call golden_outputs makes
