@@ -387,6 +387,8 @@ def generate_graph(n: int, target_c, weight_range: tuple[int, int], seed: int) -
     if n < 2:
         raise MalformedInstance("need n >= 2")
     target_c = Fraction(target_c)
+    if target_c < -1:
+        raise MalformedInstance(f"need c >= -1, got {target_c}")
     complete = n * (n - 1) // 2
     quota = min(ipow_floor(n, 1 + target_c), complete)
     lo, hi = weight_range

@@ -261,6 +261,12 @@ def test_malformed_graph_file_exit_code(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_graph_c_below_minus_one_exit_code(tmp_path, capsys):
+    # Before: a ValueError traceback and exit 1.
+    code = cli.main(["generate", "graph", str(tmp_path / "g"), "--n", "10", "--c", "-3"])
+    assert code == 3 and "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["abc", "1/0"])
 def test_malformed_vertex_weights_exit_code(tmp_path, capsys, line):
     path = tmp_path / "g.graph"
