@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--list", action="store_true", help="list algorithms and bounds")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--kappa", type=_count_arg(1), default=None)
-    r.add_argument("--vertex-weights", default=None, help="file with one rational per line (vc-2)")
     r.add_argument("--trace", default=None, help="write the trace JSON here")
     r.add_argument("--out", default=None, help="write the solution file here")
     r.add_argument("--oracle", action="store_true", help="add brute-force OPT and ratio to the report")
@@ -324,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--against-oracle", action="store_true")
     v.add_argument("--epsilon", type=str, default="1/10")
     v.add_argument("--b", type=int, default=1)
-    v.set_defaults(vertex_weights=None)
+    for weighted in (r, v):
+        weighted.add_argument("--vertex-weights", default=None, help="file with one rational per line (vc-2)")
 
     b = sub.add_parser("bench", help="seed sweep, CSV on stdout")
     b.add_argument("algorithm", choices=sorted(ALGORITHMS))

@@ -143,3 +143,21 @@ def test_own_solutions_pass_and_every_mutation_fails(alg, data):
             if not header.startswith(cli.ALGORITHMS[alg].problem.kind):
                 code, out = verify(header.splitlines() + lines[1:])
                 assert code == 3 and "PASS" not in out, (header, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=graph_texts(), data=st.data())
+def test_weighted_vertex_cover_passes_against_the_weighted_oracle(text, data):
+    """vc-2 run with positive rational vertex weights verifies with PASS
+    when verify is given the same weights file."""
+    n = int(text.split()[0])
+    weights = [data.draw(st.fractions(min_value=Fraction(1, 5), max_value=10, max_denominator=5)) for _ in range(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "in").write_text(text, encoding="ascii")
+        (d / "w").write_text("".join(f"{w}\n" for w in weights), encoding="ascii")
+        flags = ("--vertex-weights", str(d / "w"))
+        code, _ = _main("run", "vc-2", str(d / "in"), "--seed", "1", "--out", str(d / "sol"), *flags)
+        assert code == 0
+        code, out = _main("verify", str(d / "in"), str(d / "sol"), "--algorithm", "vc-2", "--against-oracle", *flags)
+        assert code == 0 and "PASS" in out, out
