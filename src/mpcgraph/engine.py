@@ -271,34 +271,28 @@ def cluster_config(
     c=None,
     seed: int = 0,
     eta: int | None = None,
-    machine_count: int | None = None,
-    fanout: int | None = None,
     memory_budget_words: int | None = None,
     retry_cap: int = 3,
 ) -> ClusterConfig:
     """The regime of one algorithm's cluster.
 
     ``n`` is the algorithm's scale parameter and ``items`` the number of
-    input items it shards eta to a machine.  Defaults: eta = floor(n^(1+mu)),
-    machine_count = ceil(items/eta) (at least 1), fanout = ceil(n^mu) (at
-    least 2), and the memory budget is ``budget(config)``, the algorithm's
-    formula evaluated on the finished config.  Each can be overridden.
+    input items it shards eta to a machine.  machine_count = ceil(items/eta)
+    (at least 1) and fanout = ceil(n^mu) (at least 2).  eta defaults to
+    floor(n^(1+mu)), and the memory budget to ``budget(config)``, the
+    algorithm's formula evaluated on the finished config.
     """
     mu = as_fraction(mu)
     if eta is None:
         eta = ipow_floor(n, 1 + mu)
-    if machine_count is None:
-        machine_count = max(1, -(-items // max(1, eta)))
-    if fanout is None:
-        fanout = max(2, ipow_ceil(n, mu))
     config = ClusterConfig(
         n=n,
         mu=mu,
         c=None if c is None else as_fraction(c),
         eta=eta,
-        machine_count=machine_count,
+        machine_count=max(1, -(-items // max(1, eta))),
         memory_budget_words=1 if memory_budget_words is None else memory_budget_words,
-        fanout=fanout,
+        fanout=max(2, ipow_ceil(n, mu)),
         seed=seed,
         retry_cap=retry_cap,
     )

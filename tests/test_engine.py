@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from mpcgraph import cli
 from mpcgraph.engine import (
     Cluster,
+    ClusterConfig,
     MemoryExceeded,
     OversizedMessage,
     Payload,
     RetriesExhausted,
     StepRandom,
     WhpFailure,
-    cluster_config,
     derive_seed,
     run_with_retries,
     store_words,
@@ -31,9 +31,18 @@ def idle(mid, store, inbox, rng):
     return store, []
 
 
-def cfg(machines, budget=10_000, fanout=2, seed=1, **kw):
-    return cluster_config(
-        4, 0, None, mu="1/5", seed=seed, machine_count=machines, memory_budget_words=budget, fanout=fanout, **kw
+def cfg(machines, budget=10_000, fanout=2, seed=1, retry_cap=3):
+    # n = 4 and mu = 1/5, so eta = floor(4^(6/5)) = 5
+    return ClusterConfig(
+        n=4,
+        mu=Fraction(1, 5),
+        c=None,
+        eta=5,
+        machine_count=machines,
+        memory_budget_words=budget,
+        fanout=fanout,
+        seed=seed,
+        retry_cap=retry_cap,
     )
 
 
