@@ -133,9 +133,8 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
             alive = store["alive"].value
             new_alive = []
             for eid, u, v, w in store["edges"].value:
-                if eid in alive and eid not in dead:
-                    if heavy(w, phi.get(u, 0), phi.get(v, 0)):
-                        new_alive.append(eid)
+                if eid in alive and eid not in dead and heavy(w, phi.get(u, 0), phi.get(v, 0)):
+                    new_alive.append(eid)
             alive = frozenset(new_alive)
             return {
                 **store,
@@ -149,7 +148,10 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
         e_series.append(e_size)
 
     matching = make_matching(graph, _unwind_round(cluster, n, None, "match"))
-    extras = {"e_series": e_series, "push_order": push_order}
+    extras = {
+        "e_series": e_series,
+        "push_order": push_order,
+    }
     return matching, iterations, extras
 
 
