@@ -173,56 +173,27 @@ def derive_seed(seed: int, round_index: int, machine_id: int) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-class StepRandom(Random):
+class StepRandom:
     """``Random(derive_seed(seed, round_index, machine_id))``, hashed and
     seeded at its first use.
 
-    Every method that reads or replaces the generator's state goes through
-    one overridden here, which turns the object into a plain ``Random``
-    (seeded, unless the call replaces the state) and repeats the call on
-    it; from then on every call is ``Random``'s own.  A method bound
-    before that, such as the ``getrandbits`` that ``Random._randbelow``
-    binds before its loop, still runs the override after the object has
-    become a ``Random``, so the overrides reach the state through
-    ``_seeded``, a function, not through an attribute of ``self``.
+    The first attribute read builds that ``Random``.  A method read is
+    kept on this object, so later calls skip ``__getattr__`` and run
+    ``Random``'s own bound method; a data attribute such as
+    ``gauss_next`` is read through each time, since draws change it.
     """
-
-    def __new__(cls, seed: int, round_index: int, machine_id: int):
-        # Up to CPython 3.10 ``Random.__new__`` takes the constructor's
-        # arguments, accepts at most one and seeds with it (from system
-        # entropy if none is given); 3.11 moved seeding into ``__init__``.
-        # A constant seed keeps construction cheap on both: the state it
-        # sets is never read, as every read goes through ``_seeded``.
-        return super().__new__(cls, 0)
 
     def __init__(self, seed: int, round_index: int, machine_id: int):
         self._key = (seed, round_index, machine_id)
-        self.gauss_next = None
+        self._rng = None
 
-    def random(self):
-        return _seeded(self).random()
-
-    def getrandbits(self, k):
-        return _seeded(self).getrandbits(k)
-
-    def getstate(self):
-        return _seeded(self).getstate()
-
-    def seed(self, *args, **kwargs):
-        self.__class__ = Random
-        self.seed(*args, **kwargs)
-
-    def setstate(self, state):
-        self.__class__ = Random
-        self.setstate(state)
-
-
-def _seeded(rng: Random) -> Random:
-    """``rng`` as a plain ``Random``, seeded now if it is a ``StepRandom``."""
-    if type(rng) is StepRandom:
-        rng.__class__ = Random
-        rng.seed(derive_seed(*rng._key))
-    return rng
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = Random(derive_seed(*self._key))
+        value = getattr(self._rng, name)
+        if callable(value):
+            setattr(self, name, value)
+        return value
 
 
 # The constant factor of every algorithm's memory budget formula.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpcgraph import cli
+from mpcgraph import cli, engine
 from mpcgraph.engine import (
     Cluster,
     ClusterConfig,
@@ -351,20 +351,25 @@ def test_step_random_state_methods():
     assert restored.random() == Random(12).random()
 
 
-def test_step_random_builds_where_random_new_takes_the_seed():
-    """Up to CPython 3.10, ``Random.__new__`` receives the constructor's
-    arguments and rejects more than one; StepRandom's three must not reach it."""
+def test_step_rng_seeds_only_when_read(monkeypatch):
+    """A step's RNG hashes its seed at the first draw and not before, and
+    reads data attributes from the live generator."""
+    calls = []
 
-    class SeedsInNew(Random):
-        def __new__(cls, *args):
-            if len(args) > 1:
-                raise TypeError("Random() requires 0 or 1 argument")
-            return super().__new__(cls, *args)
+    def counted(*key):
+        calls.append(key)
+        return derive_seed(*key)
 
-    class Probe(StepRandom, SeedsInNew):
-        pass
-
-    assert Probe(3, 4, 5)._key == (3, 4, 5)
+    monkeypatch.setattr(engine, "derive_seed", counted)
+    cl = Cluster(cfg(4))
+    cl.run_round(idle)
+    assert calls == []
+    cl.run_round(lambda mid, store, inbox, rng: ({**store, "x": rng.random()}, []))
+    assert calls == [(1, 1, mid) for mid in range(4)]
+    lazy, eager = StepRandom(3, 4, 5), Random(derive_seed(3, 4, 5))
+    for _ in range(2):
+        assert lazy.gauss() == eager.gauss()
+        assert lazy.gauss_next == eager.gauss_next
 
 
 def test_round_that_ignores_rng_matches_one_that_draws():
