@@ -1,66 +1,2 @@
 """Simulated MapReduce/MPC cluster with local-ratio and hungry-greedy
 graph approximation algorithms, verified against sequential oracles."""
-
-from .engine import (
-    Cluster,
-    ClusterConfig,
-    MemoryExceeded,
-    OversizedMessage,
-    Payload,
-    RetriesExhausted,
-    RunResult,
-    WhpFailure,
-)
-from .instances import (
-    Colouring,
-    Cover,
-    Graph,
-    MalformedInstance,
-    Matching,
-    SetCoverInstance,
-    TooLarge,
-    Uncoverable,
-    generate_graph,
-    generate_set_cover,
-    make_graph,
-    make_set_cover,
-    read_graph,
-    read_set_cover,
-    validate,
-    validate_b_matching,
-    vertex_cover_encoding,
-    write_graph,
-    write_set_cover,
-)
-
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "Colouring",
-    "Cover",
-    "Graph",
-    "MalformedInstance",
-    "Matching",
-    "MemoryExceeded",
-    "OversizedMessage",
-    "Payload",
-    "RetriesExhausted",
-    "RunResult",
-    "SetCoverInstance",
-    "TooLarge",
-    "Uncoverable",
-    "WhpFailure",
-    "generate_graph",
-    "generate_set_cover",
-    "make_graph",
-    "make_set_cover",
-    "read_graph",
-    "read_set_cover",
-    "validate",
-    "validate_b_matching",
-    "vertex_cover_encoding",
-    "write_graph",
-    "write_set_cover",
-]
-
-__version__ = "0.1.0"

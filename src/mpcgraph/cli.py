@@ -48,7 +48,8 @@ from .instances import (
 # namespace, so they stay importable from it.
 from .instances import graph_to_text, set_cover_to_text  # noqa: F401
 from .oracles import (
-    brute_force,
+    brute_force_max_matching,
+    brute_force_min_cover,
     eps_greedy_bound,
     is_maximal_clique,
     is_maximal_independent_set,
@@ -133,7 +134,7 @@ class Problem:
 
 
 SET_COVER = Problem(
-    "cover", False, True, _weight, _check_cover, lambda instance, aux: brute_force("setcover", instance)[0]
+    "cover", False, True, _weight, _check_cover, lambda instance, aux: brute_force_min_cover(instance)[0]
 )
 VERTEX_COVER = Problem(
     "cover",
@@ -141,11 +142,11 @@ VERTEX_COVER = Problem(
     True,
     _vertex_cover_weight,
     lambda graph, rows, aux: _check_cover(vertex_cover_encoding(graph, aux), rows, aux),
-    lambda instance, aux: brute_force("setcover", vertex_cover_encoding(instance, aux))[0],
+    lambda instance, aux: brute_force_min_cover(vertex_cover_encoding(instance, aux))[0],
     aux=lambda args: _vertex_weights(args.vertex_weights),
 )
 MATCHING = Problem(
-    "matching", True, False, _weight, _check_matching, lambda instance, aux: brute_force("matching", instance)[0]
+    "matching", True, False, _weight, _check_matching, lambda instance, aux: brute_force_max_matching(instance)[0]
 )
 B_MATCHING = Problem(
     "matching",
@@ -153,7 +154,7 @@ B_MATCHING = Problem(
     False,
     _weight,
     _check_matching,
-    lambda instance, aux: brute_force("bmatching", instance, aux)[0],
+    lambda instance, aux: brute_force_max_matching(instance, aux)[0],
     aux=lambda args: 1 if args.b is None else args.b,
 )
 

@@ -2,11 +2,11 @@
 
 Vertices (or edges) assign themselves uniformly to kappa = ceil(
 n^((c-mu)/2)) groups.  Per-group induced sizes are folded up the tree and
-any group exceeding the edge cap (13 n^(1+mu) by default, exposed as
-``edge_cap``) fails the run for an engine retry.  Each group ships its induced
-subgraph to a group-central machine, which colours it greedily (vertex
-mode) or with Misra-Gries (edge mode); the final colour of an item is the
-pair (group id, within-group colour).
+any group exceeding the edge cap (13 n^(1+mu)) fails the run for an
+engine retry.  Each group ships its induced subgraph to a group-central
+machine, which colours it greedily (vertex mode) or with Misra-Gries
+(edge mode); the final colour of an item is the pair (group id,
+within-group colour).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .oracles import misra_gries_edge_colouring_seq
 EDGE_CAP_FACTOR = 13
 
 
-def _run_colouring(graph: Graph, attempt, kappa, edge_cap, kw) -> RunResult:
+def _run_colouring(graph: Graph, attempt, kappa, kw) -> RunResult:
     """Build the regime (c derived from the graph unless given), then run
     ``attempt(graph, kappa, edge cap, cluster)`` with retries."""
 
@@ -34,7 +34,7 @@ def _run_colouring(graph: Graph, attempt, kappa, edge_cap, kw) -> RunResult:
     c = kw.pop("c", None)
     cfg = cluster_config(max(2, graph.n), graph.m, budget, c=_derive_c(graph) if c is None else c, **kw)
     k = default_kappa(cfg) if kappa is None else kappa
-    cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu) if edge_cap is None else edge_cap
+    cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu)
     return run_with_retries(cfg, lambda cluster: attempt(graph, k, cap, cluster))
 
 
@@ -89,10 +89,10 @@ def default_kappa(config: ClusterConfig) -> int:
     return max(1, ipow_ceil(config.n, (c - config.mu) / 2))
 
 
-def vertex_colouring(graph: Graph, kappa: int | None = None, edge_cap: int | None = None, **kw) -> RunResult:
+def vertex_colouring(graph: Graph, kappa: int | None = None, **kw) -> RunResult:
     """Proper vertex colouring with at most kappa*(max_i Delta_i + 1)
     colours, w.h.p. (1 + n^(-mu/2) sqrt(6 ln n) + n^(-mu)) * Delta."""
-    return _run_colouring(graph, _vertex_attempt, kappa, edge_cap, kw)
+    return _run_colouring(graph, _vertex_attempt, kappa, kw)
 
 
 def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
@@ -168,10 +168,10 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
     return _merged_colouring(cluster, "vertex", graph.n, kappa, counts)
 
 
-def edge_colouring(graph: Graph, kappa: int | None = None, edge_cap: int | None = None, **kw) -> RunResult:
+def edge_colouring(graph: Graph, kappa: int | None = None, **kw) -> RunResult:
     """Proper edge colouring: random edge partition, Misra-Gries per group,
     colour = (group id, within-group colour)."""
-    return _run_colouring(graph, _edge_attempt, kappa, edge_cap, kw)
+    return _run_colouring(graph, _edge_attempt, kappa, kw)
 
 
 def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):

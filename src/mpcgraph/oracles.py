@@ -383,21 +383,6 @@ def brute_force_max_matching(graph: Graph, b=None) -> tuple[Fraction, tuple[int,
     return best_w[0], best_ids[0]
 
 
-def brute_force(kind: str, instance, b=None) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact optimum value and witness for small instances.
-
-    Kinds: "setcover" (min cover), "matching" (max matching),
-    "bmatching" (max b-matching with capacities b).
-    """
-    if kind == "setcover":
-        return brute_force_min_cover(instance)
-    if kind == "matching":
-        return brute_force_max_matching(instance)
-    if kind == "bmatching":
-        return brute_force_max_matching(instance, b)
-    raise ValueError(f"unknown brute-force kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Direct predicates for MIS / clique outputs
 

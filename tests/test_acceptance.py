@@ -25,7 +25,8 @@ from mpcgraph.instances import (
     validate_b_matching,
 )
 from mpcgraph.oracles import (
-    brute_force,
+    brute_force_max_matching,
+    brute_force_min_cover,
     is_maximal_clique,
     is_maximal_independent_set,
 )
@@ -61,7 +62,7 @@ def test_criterion_1_matching_two_approximation():
     good = runs = 0
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 10), 16, 1, 10)
-        opt, _ = brute_force("matching", g)
+        opt, _ = brute_force_max_matching(g)
         for seed in range(5):
             res = approx_max_matching(g, mu="1/5", seed=seed)
             audit(res)
@@ -79,7 +80,7 @@ def test_criterion_2_set_cover_f_approximation():
     for t in range(200):
         n, m = rng.randint(2, 12), rng.randint(1, 12)
         inst = generate_set_cover(n, m, rng.uniform(0.1, 0.7), (1, 10), seed=20000 + t)
-        opt, _ = brute_force("setcover", inst)
+        opt, _ = brute_force_min_cover(inst)
         f = inst.frequency
         for seed in range(5):
             res = approx_sc_f(inst, mu="1/5", seed=seed)
@@ -98,7 +99,7 @@ def test_criterion_3_eps_greedy_set_cover():
     for t in range(100):
         n, m = rng.randint(2, 16), rng.randint(1, 12)
         inst = generate_set_cover(n, m, rng.uniform(0.15, 0.7), (1, 10), seed=30000 + t)
-        opt, _ = brute_force("setcover", inst)
+        opt, _ = brute_force_min_cover(inst)
         bound = (1 + eps) * harmonic(inst.max_set_size)
         res = approx_sc_lnDelta(inst, eps, seed=t)
         audit(res)
@@ -116,7 +117,7 @@ def test_criterion_4_b_matching():
     for t in range(100):
         g = random_graph(rng, rng.randint(2, 8), 14, 1, 10)
         b = [1, 2, 3][t % 3]
-        opt, _ = brute_force("bmatching", g, b)
+        opt, _ = brute_force_max_matching(g, b)
         bound = 3 - Fraction(2, max(2, b)) + 2 * eps
         res = approx_b_matching(g, b, eps, seed=t)
         audit(res)

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from conftest import random_graph
+from mpcgraph import colouring
 from mpcgraph.colouring import (
     default_kappa,
     edge_colouring,
@@ -65,12 +66,14 @@ def test_properness_and_count_bound_random_sweep():
             assert re_.value.colour_count <= re_.extras["count_bound"]
 
 
-def test_group_cap_failure_retries_exhaust():
+def test_group_cap_failure_retries_exhaust(monkeypatch):
+    monkeypatch.setattr(colouring, "EDGE_CAP_FACTOR", 0)
     g = generate_graph(32, "1/2", (1, 1), seed=7)
-    with pytest.raises(RetriesExhausted):
-        vertex_colouring(g, seed=0, edge_cap=1, retry_cap=2)
-    with pytest.raises(RetriesExhausted):
-        edge_colouring(g, seed=0, edge_cap=1, retry_cap=2)
+    for run in (vertex_colouring, edge_colouring):
+        with pytest.raises(RetriesExhausted) as failed:
+            run(g, seed=0, retry_cap=2)
+        assert len(failed.value.attempts) == 3
+        assert all("> cap 0" in a.failure for a in failed.value.attempts)
 
 
 def test_group_degree_concentration_instrumented(colouring_4096_runs):

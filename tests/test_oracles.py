@@ -17,7 +17,8 @@ from mpcgraph.instances import (
 )
 from mpcgraph.oracles import (
     MatchingReduction,
-    brute_force,
+    brute_force_max_matching,
+    brute_force_min_cover,
     eps_greedy_set_cover_seq,
     greedy_vertex_colouring_seq,
     is_maximal_clique,
@@ -47,7 +48,7 @@ def test_lr_set_cover_worked_example():
     # element 0 zeroes S1 (eps 1), element 1 skipped, element 2 zeroes S2
     assert cover.set_ids == (0, 1)
     assert cover.weight(inst) == 2
-    opt, _ = brute_force("setcover", inst)
+    opt, _ = brute_force_min_cover(inst)
     assert opt == 2 and inst.frequency == 2
 
 
@@ -67,7 +68,7 @@ def test_lr_set_cover_f_ratio_all_orders():
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         inst = generate_set_cover(n, m, rng.random(), (1, 9), seed=rng.randint(0, 10**6))
-        opt, _ = brute_force("setcover", inst)
+        opt, _ = brute_force_min_cover(inst)
         f = inst.frequency
         for _ in range(4):
             order = list(range(m))
@@ -86,7 +87,7 @@ def test_lr_matching_worked_example():
     assert m1.edge_ids == (0,) and m1.weight(g) == 3
     m2 = lr_matching_seq(g, [1, 0])  # push bc then ab; unwind keeps ab
     assert m2.edge_ids == (0,) and m2.weight(g) == 3
-    opt, _ = brute_force("matching", g)
+    opt, _ = brute_force_max_matching(g)
     assert opt == 3
     empty = make_graph(4, [])
     assert lr_matching_seq(empty).edge_ids == ()
@@ -96,7 +97,7 @@ def test_lr_matching_half_opt_all_orders():
     rng = Random(11)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 7), 10)
-        opt, _ = brute_force("matching", g)
+        opt, _ = brute_force_max_matching(g)
         for order in list(permutations(range(g.m)))[:6] if g.m <= 4 else [
             rng.sample(range(g.m), g.m) for _ in range(6)
         ]:
@@ -172,7 +173,7 @@ def test_bmatching_examples():
     tri = make_graph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
     m = lr_bmatching_seq(tri, 2, 0)
     assert m.edge_ids == (0, 1, 2) and m.weight(tri) == 3
-    opt, _ = brute_force("bmatching", tri, 2)
+    opt, _ = brute_force_max_matching(tri, 2)
     assert opt == 3
     single = make_graph(2, [(0, 1, 5)])
     m = lr_bmatching_seq(single, 3, Fraction(1, 4))
@@ -193,7 +194,7 @@ def test_bmatching_ratio():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 6), 9)
         b = rng.choice([1, 2, 3])
-        opt, _ = brute_force("bmatching", g, b)
+        opt, _ = brute_force_max_matching(g, b)
         bound = 3 - Fraction(2, max(2, b)) + 2 * eps
         matching = lr_bmatching_seq(g, b, eps, rng.sample(range(g.m), g.m))
         assert validate_b_matching(matching, g, b).feasible
@@ -209,7 +210,7 @@ def test_eps_greedy_examples():
         cover = eps_greedy_set_cover_seq(inst, eps)
         assert cover.set_ids == (0,)
         assert cover.weight(inst) == 1
-    opt, _ = brute_force("setcover", inst)
+    opt, _ = brute_force_min_cover(inst)
     assert opt == 1
     tiny = make_set_cover(1, 1, [[0]], [3])
     assert eps_greedy_set_cover_seq(tiny, Fraction(1, 2)).set_ids == (0,)
@@ -220,7 +221,7 @@ def test_eps_greedy_harmonic_bound():
     for _ in range(30):
         n, m = rng.randint(1, 8), rng.randint(1, 8)
         inst = generate_set_cover(n, m, rng.random(), (1, 9), seed=rng.randint(0, 10**6))
-        opt, _ = brute_force("setcover", inst)
+        opt, _ = brute_force_min_cover(inst)
         for eps in (0, Fraction(1, 10), 1):
             cover = eps_greedy_set_cover_seq(inst, eps)
             assert cover.weight(inst) <= (1 + Fraction(eps)) * harmonic(inst.max_set_size) * opt
@@ -280,27 +281,27 @@ def test_misra_gries_random_sweep():
 
 def test_brute_force_examples():
     p3 = make_graph(3, [(0, 1, 3), (1, 2, 2)])
-    assert brute_force("matching", p3)[0] == 3
+    assert brute_force_max_matching(p3)[0] == 3
     inst = three_set_instance()
-    assert brute_force("setcover", inst)[0] == 2
+    assert brute_force_min_cover(inst)[0] == 2
     empty = make_graph(3, [])
-    assert brute_force("matching", empty) == (0, ())
+    assert brute_force_max_matching(empty) == (0, ())
 
 
 def test_brute_force_caps():
     big = make_graph(30, [(0, i, 1) for i in range(1, 24)])
     with pytest.raises(TooLarge):
-        brute_force("matching", big)
+        brute_force_max_matching(big)
     inst = generate_set_cover(23, 4, 0.5, (1, 2), seed=0)
     with pytest.raises(TooLarge):
-        brute_force("setcover", inst)
+        brute_force_min_cover(inst)
 
 
 def test_brute_force_witness_feasible():
     rng = Random(19)
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 7), 10)
-        opt, witness = brute_force("matching", g)
+        opt, witness = brute_force_max_matching(g)
         assert sum(g.weight(e) for e in witness) == opt
         used = set()
         for e in witness:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import alpha_classes, harmonic, pow_threshold, size_class
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
-from mpcgraph.oracles import brute_force
+from mpcgraph.oracles import brute_force_min_cover
 from mpcgraph.parallel_setcover import approx_sc_lnDelta, potential_phi
 from test_setcover_pins import PINS, SEEDS, _instances
 
@@ -28,7 +28,7 @@ def test_four_set_instance_takes_big_set():
     assert res.value.set_ids == (0,)
     assert res.value.weight(inst) == 1
     bound = (1 + Fraction(1, 10)) * harmonic(3)
-    opt, _ = brute_force("setcover", inst)
+    opt, _ = brute_force_min_cover(inst)
     assert res.value.weight(inst) <= bound * opt
 
 
@@ -39,7 +39,7 @@ def test_harmonic_bound_sweep():
     for _ in range(100):
         n, m = rng.randint(2, 20), rng.randint(1, 12)
         inst = generate_set_cover(n, m, rng.uniform(0.15, 0.7), (1, 9), seed=rng.randint(0, 10**6))
-        opt, _ = brute_force("setcover", inst)
+        opt, _ = brute_force_min_cover(inst)
         bound = (1 + eps) * harmonic(inst.max_set_size)
         for seed in range(3):
             res = approx_sc_lnDelta(inst, eps, seed=seed)

@@ -11,7 +11,7 @@ from conftest import random_graph
 from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
-from mpcgraph.oracles import MatchingReduction, brute_force, lr_bmatching_seq, lr_matching_seq
+from mpcgraph.oracles import MatchingReduction, brute_force_max_matching, lr_bmatching_seq, lr_matching_seq
 from mpcgraph.rlr_matching import (
     _heavy_test,
     _push_best,
@@ -42,7 +42,7 @@ def test_two_approx_sweep_zero_tolerance():
     rng = Random(60)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 10), 16)
-        opt, _ = brute_force("matching", g)
+        opt, _ = brute_force_max_matching(g)
         for seed in range(3):
             res = approx_max_matching(g, mu="1/5", seed=seed)
             assert validate(res.value, g).feasible
@@ -64,7 +64,7 @@ def test_sampled_branch_at_small_eta():
     multi = 0
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 10), 16)
-        opt, _ = brute_force("matching", g)
+        opt, _ = brute_force_max_matching(g)
         res = approx_max_matching(g, mu="1/5", eta=3, seed=rng.randint(0, 99))
         assert validate(res.value, g).feasible
         assert 2 * res.value.weight(g) >= opt
@@ -77,7 +77,7 @@ def test_sampled_branch_at_small_eta():
 def test_exact_rational_weights():
     g = make_graph(4, [(0, 1, Fraction(7, 3)), (1, 2, Fraction(5, 3)), (2, 3, Fraction(1, 3))])
     res = approx_max_matching(g, mu="1/5", seed=2)
-    opt, _ = brute_force("matching", g)
+    opt, _ = brute_force_max_matching(g)
     assert 2 * res.value.weight(g) >= opt
     assert res.value.weight(g).denominator in (1, 3)
 
@@ -189,7 +189,7 @@ def test_bmatching_ratio_sweep():
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 8), 14)
         b = rng.choice([1, 2, 3])
-        opt, _ = brute_force("bmatching", g, b)
+        opt, _ = brute_force_max_matching(g, b)
         bound = 3 - Fraction(2, max(2, b)) + 2 * eps
         for seed in range(2):
             res = approx_b_matching(g, b, eps, seed=seed)

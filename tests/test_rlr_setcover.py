@@ -13,7 +13,7 @@ from mpcgraph.instances import (
     validate,
     vertex_cover_encoding,
 )
-from mpcgraph.oracles import brute_force, lr_set_cover_seq
+from mpcgraph.oracles import brute_force_min_cover, lr_set_cover_seq
 from mpcgraph.rlr_setcover import approx_sc_f, vertex_cover_2approx
 
 
@@ -29,7 +29,7 @@ def test_p1_branch_matches_sequential():
 
 def test_three_set_instance_within_2opt():
     inst = make_set_cover(3, 3, [[0, 1], [1, 2], [0, 2]], [1, 1, 3])
-    opt, _ = brute_force("setcover", inst)
+    opt, _ = brute_force_min_cover(inst)
     for seed in range(6):
         res = approx_sc_f(inst, mu="1/5", seed=seed)
         assert res.value.weight(inst) <= 2 * opt
@@ -40,7 +40,7 @@ def test_f_opt_sweep_zero_tolerance():
     for _ in range(40):
         n, m = rng.randint(2, 10), rng.randint(1, 10)
         inst = generate_set_cover(n, m, rng.uniform(0.1, 0.7), (1, 9), seed=rng.randint(0, 10**6))
-        opt, _ = brute_force("setcover", inst)
+        opt, _ = brute_force_min_cover(inst)
         f = inst.frequency
         for seed in range(3):
             res = approx_sc_f(inst, mu="1/5", seed=seed)
@@ -114,7 +114,7 @@ def test_vc_single_edge_weighted():
 def test_vc_star_and_triangle():
     star = make_graph(5, [(0, i, 1) for i in range(1, 5)])
     res = vertex_cover_2approx(star, seed=4)
-    opt, _ = brute_force("setcover", vertex_cover_encoding(star))
+    opt, _ = brute_force_min_cover(vertex_cover_encoding(star))
     assert opt == 1
     weight = len(res.value.set_ids)
     assert weight <= 2 * opt
@@ -139,7 +139,7 @@ def test_vc_2opt_sweep():
         g = make_graph(n, [(u, v, 1) for u, v in rng.sample(pairs, m)])
         weights = [Fraction(rng.randint(1, 9)) for _ in range(n)]
         enc = vertex_cover_encoding(g, weights)
-        opt, _ = brute_force("setcover", enc)
+        opt, _ = brute_force_min_cover(enc)
         for seed in range(2):
             res = vertex_cover_2approx(g, weights, seed=seed)
             cover_weight = sum((weights[i] for i in res.value.set_ids), Fraction(0))
@@ -151,7 +151,7 @@ def test_star_encoding_through_generic_sc_f():
     # vertex-cover encoding of K_{1,4} run through the generic f-route
     star = make_graph(5, [(0, i, 1) for i in range(1, 5)])
     enc = vertex_cover_encoding(star)
-    opt, _ = brute_force("setcover", enc)
+    opt, _ = brute_force_min_cover(enc)
     assert opt == 1  # the centre alone
     for seed in range(4):
         res = approx_sc_f(enc, mu="1/5", seed=seed)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mpcgraph.instances import validate, validate_b_matching, vertex_cover_encoding
-from mpcgraph.oracles import brute_force
+from mpcgraph.oracles import brute_force_max_matching, brute_force_min_cover
 from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching
 from mpcgraph.rlr_setcover import approx_sc_f, vertex_cover_2approx
 from tight_families import disjoint_unit_edges, relabelled_p4_paths, singleton_sets
@@ -21,7 +21,7 @@ RUNS = {
 
 def test_relabelled_p4_optimum_is_the_outer_edges():
     g, opt = relabelled_p4_paths(2)
-    assert brute_force("matching", g)[0] == opt == 4
+    assert brute_force_max_matching(g)[0] == opt == 4
 
 
 @pytest.mark.parametrize("alg", sorted(RUNS))
@@ -38,9 +38,9 @@ def test_relabelled_p4_paths_reach_200_over_101(alg):
 
 def test_tight_cover_optima():
     g, opt = disjoint_unit_edges(3)
-    assert brute_force("setcover", vertex_cover_encoding(g))[0] == opt == 3
+    assert brute_force_min_cover(vertex_cover_encoding(g))[0] == opt == 3
     instance, opt = singleton_sets(3, 3)
-    assert brute_force("setcover", instance)[0] == opt == 3
+    assert brute_force_min_cover(instance)[0] == opt == 3
 
 
 def test_disjoint_unit_edges_reach_2():
