@@ -560,7 +560,7 @@ def main(argv=None) -> int:
             return cmd_bench(args)
     except RetriesExhausted:
         return 2
-    except (Uncoverable, MalformedInstance, FileNotFoundError) as exc:
+    except (Uncoverable, MalformedInstance, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -277,6 +277,24 @@ def test_malformed_vertex_weights_exit_code(tmp_path, capsys, line):
     assert str(weights) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["instance", "vertex-weights", "solution", "directory"])
+def test_unreadable_input_exit_code(tmp_path, capsys, case):
+    # Before: a UnicodeDecodeError or IsADirectoryError traceback and exit 1.
+    graph = tmp_path / "g.graph"
+    graph.write_text("3 2\n0 1 1\n1 2 1\n")
+    commented = tmp_path / "commented"
+    text = {"instance": "3 2\n0 1 1\n1 2 1\n", "vertex-weights": "1\n1\n1\n", "solution": "cover\n1\n"}
+    commented.write_bytes(("# café\n" + text.get(case, "")).encode("utf-8"))
+    argv = {
+        "instance": ["run", "vc-2", str(commented)],
+        "vertex-weights": ["run", "vc-2", str(graph), "--vertex-weights", str(commented)],
+        "solution": ["verify", str(graph), str(commented), "--algorithm", "vc-2"],
+        "directory": ["run", "vc-2", str(tmp_path)],
+    }[case]
+    assert cli.main(argv) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     sc = tmp_path / "i.sc"
     run_cli(capsys, "generate", "setcover", str(sc), "--n", "8", "--m", "60", "--density", "0.4", "--seed", "2")
