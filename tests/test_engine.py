@@ -352,8 +352,9 @@ def test_step_random_state_methods():
 
 
 def test_step_rng_seeds_only_when_read(monkeypatch):
-    """A step's RNG hashes its seed at the first draw and not before, and
-    reads data attributes from the live generator."""
+    """A step's RNG derives its seed when a step first reads it, never
+    for a step that does not, and reads data attributes from the live
+    generator."""
     calls = []
 
     def counted(*key):
