@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -118,6 +119,36 @@ def test_generate_set_cover_examples():
 
 # Frozen from the first generation of (n=10, m=12, density=0.3, seed=7).
 GOLDEN_SC_DIGEST = "680b0b116bb868fb"
+
+
+# Frozen from generate_graph's Random.sample/randint draws.  The first
+# graph's sample takes Random.sample's set branch (n > setsize), the
+# second its pool branch; the third is test_generate_graph_examples' g3.
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        ((1536, "2/5", (1, 10), 11), "701fef3431b305ea"),
+        ((384, "4/5", (1, 10), 12), "e20b721db4cdef3b"),
+        ((100, "3/10", (1, 10), 9), "d16faabf1d88c1ce"),
+    ],
+)
+def test_generate_graph_pins(args, pinned):
+    assert digest(graph_to_text(generate_graph(*args))) == pinned
+
+
+def test_generate_set_cover_pin():
+    # The benchmark's first sc-lnD instance at seed 1.
+    assert digest(set_cover_to_text(generate_set_cover(500, 384, 0.032, (1, 4), 110))) == "ecd624153c2cbea7"
+
+
+def test_closed_form_pair_unranking():
+    """generate_graph ranks the pair u < v as v*(v-1)/2 + u and unranks it
+    with v = (1 + isqrt(8*idx + 1)) >> 1, which is exact for every pair."""
+    idx = 0
+    for v in range(1, 2000):
+        for u in range(v):
+            assert (1 + math.isqrt(8 * idx + 1)) >> 1 == v and idx - v * (v - 1) // 2 == u
+            idx += 1
 
 
 def test_validate_examples():
