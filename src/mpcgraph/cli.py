@@ -377,15 +377,14 @@ def _vertex_weights(path):
     """The vc-2 weights file: one rational per line (None: unit weights)."""
     if not path:
         return None
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    with malformed_numbers(path):
-        return [Fraction(line.strip()) for line in text.splitlines() if line.strip()]
+    with malformed_numbers(path), open(path, "r", encoding="ascii") as fh:
+        return [Fraction(line.strip()) for line in fh.read().splitlines() if line.strip()]
 
 
 def _load_instance(problem: Problem, path: str):
     """Parse the instance file (through the names perfbench/spans.py times)."""
-    return (read_graph if problem.graph_input else read_set_cover)(path)
+    with malformed_numbers(path):
+        return (read_graph if problem.graph_input else read_set_cover)(path)
 
 
 def solution_to_text(algorithm: str, value, instance, aux) -> str:
@@ -479,7 +478,7 @@ def cmd_verify(args) -> int:
     spec = ALGORITHMS[args.algorithm]
     problem = spec.problem
     instance = _load_instance(problem, args.instance)
-    with open(args.solution, "r", encoding="ascii") as fh:
+    with malformed_numbers(args.solution), open(args.solution, "r", encoding="ascii") as fh:
         rows = [line.strip() for line in fh.read().splitlines() if line.strip()]
     kind = problem.kind.split()
     head = rows[0].split() if rows else []

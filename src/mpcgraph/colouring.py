@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .engine import BUDGET_FACTOR, Cluster, ClusterConfig, Payload, RunResult, cluster_config, gather, run_with_retries
-from .exactmath import ipow_ceil, ipow_floor
+from .exactmath import below, ipow_ceil, ipow_floor
 from .instances import Colouring, Graph, make_graph
 from .oracles import misra_gries_edge_colouring_seq
 
@@ -34,6 +34,8 @@ def _run_colouring(graph: Graph, attempt, kappa, kw) -> RunResult:
     c = kw.pop("c", None)
     cfg = cluster_config(max(2, graph.n), graph.m, budget, c=_derive_c(graph) if c is None else c, **kw)
     k = default_kappa(cfg) if kappa is None else kappa
+    if k < 1:  # the group draws below(kappa) never end for kappa < 1
+        raise ValueError(f"kappa must be >= 1, got {k}")
     cap = EDGE_CAP_FACTOR * ipow_floor(cfg.n, 1 + cfg.mu)
     return run_with_retries(cfg, lambda cluster: attempt(graph, k, cap, cluster))
 
@@ -103,7 +105,7 @@ def _vertex_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
 
     def assign_step(mid, store, inbox, rng):
         own = store["adj"].value
-        groups = {v: rng.randrange(kappa) for v in sorted(own)}
+        groups = {v: below(rng.getrandbits, kappa) for v in sorted(own)}
         out = []
         for v in sorted(own):
             for u in own[v]:
@@ -185,7 +187,7 @@ def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
 
     def assign_step(mid, store, inbox, rng):
         own = store["edges"].value
-        groups = {eid: rng.randrange(kappa) for eid, _, _ in own}
+        groups = {eid: below(rng.getrandbits, kappa) for eid, _, _ in own}
         counts = [0] * kappa
         for g in groups.values():
             counts[g] += 1

@@ -29,15 +29,16 @@ The RNG hashes and seeds at its first use (``StepRandom``), so a step
 that never draws costs no seeding and sees the same stream if it does.
 
 ``run_with_retries`` pauses Python's cyclic garbage collector for a whole
-run.  That is safe because the messages, stores and records a run makes
-form no reference cycles: reference counting frees each as it dies, and
-the collector would only walk the many live ones again and again.
+run, and the instance generators pause it while they build.  That is safe
+because the messages, stores and records a run makes, and the instances a
+generator builds, form no reference cycles: reference counting frees each
+as it dies, and the collector would only walk the many live ones again and
+again.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import json
 import os
@@ -47,7 +48,7 @@ from operator import itemgetter
 from random import Random
 from typing import Callable, NoReturn, Sequence
 
-from .exactmath import as_fraction, frac_str, ipow_ceil, ipow_floor, log_ceil
+from .exactmath import as_fraction, collector_paused, frac_str, ipow_ceil, ipow_floor, log_ceil
 
 
 class EngineFailure(Exception):
@@ -627,9 +628,7 @@ def run_with_retries(config: ClusterConfig, attempt: Callable) -> RunResult:
     """
     attempts: list[AttemptRecord] = []
     level = trace_level()
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         for k in range(config.retry_cap + 1):
             cfg = replace(config, seed=config.seed + k)
             cluster = Cluster(cfg)
@@ -649,9 +648,6 @@ def run_with_retries(config: ClusterConfig, attempt: Callable) -> RunResult:
             )
             if failure is None:
                 return RunResult(value=value, cluster=cluster, attempts=attempts, iterations=iterations, extras=extras)
-    finally:
-        if collecting:
-            gc.enable()
     raise RetriesExhausted(attempts)
 
 

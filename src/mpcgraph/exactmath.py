@@ -1,14 +1,21 @@
-"""Exact integer/rational arithmetic helpers.
+"""Exact arithmetic, the package's random draws, and the collector pause.
 
 All regime parameters (mu, c, epsilon) are carried as `Fraction`, so that
 thresholds of the form ``x >= n**e`` reduce to integer comparisons and never
 depend on floating point.
+
+Every random value is drawn here from a ``random.Random``'s Mersenne Twister
+core, ``getrandbits`` and ``random``.  ``below`` and ``sample`` make the calls
+``Random.randrange`` and ``Random.sample`` make, so they give the same values
+in the same order; outputs depend on this code, not on those methods.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import neg
 
@@ -57,10 +64,10 @@ def _floor_root(base: int, exponent) -> tuple[int, bool]:
         k *= 2
     # Integer Newton steps from above stop at the floor of the root.
     while True:
-        below = ((q - 1) * k + target // k ** (q - 1)) // q
-        if below >= k:
+        lower = ((q - 1) * k + target // k ** (q - 1)) // q
+        if lower >= k:
             return k, k**q == target
-        k = below
+        k = lower
 
 
 def ipow_floor(base: int, exponent: Fraction) -> int:
@@ -156,3 +163,63 @@ def frac_decimal(x: Fraction, places: int = 6) -> str:
     if (scaled - whole) * 2 >= 1:
         whole += 1
     return f"{sign}{whole // scale}.{whole % scale:0{places}d}"
+
+
+def below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, drawn as Random._randbelow draws it."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def sample(rng, population, k: int) -> list:
+    """``Random.sample(population, k)``: the same picks from the same
+    ``getrandbits`` calls, in both of its branches."""
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    getrandbits, picks = rng.getrandbits, [None] * k
+    if n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):
+        pool = list(population)  # each pick's place takes the last unpicked item
+        for i in range(k):
+            j = below(getrandbits, n - i)
+            picks[i] = pool[j]
+            pool[j] = pool[n - i - 1]
+        return picks
+    bits, selected = n.bit_length(), set()
+    for i in range(k):  # a repeat is redrawn as _randbelow redraws a value >= n
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        picks[i] = population[j]
+    return picks
+
+
+def binomial(rng, trials: int, p: float) -> int:
+    """Binomial(trials, p) by geometric skip sampling: O(trials*p) expected."""
+    if p <= 0 or trials <= 0:
+        return 0
+    if p >= 1:
+        return trials
+    log_q, random, log = math.log1p(-p), rng.random, math.log
+    count = pos = 0
+    while True:
+        pos += 1 + int(log(1.0 - random()) / log_q)
+        if pos > trials:
+            return count
+        count += 1
+
+
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector in the block; restore it after."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()

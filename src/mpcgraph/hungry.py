@@ -37,7 +37,7 @@ from .engine import (
     gather_concat,
     run_with_retries,
 )
-from .exactmath import alpha_classes, ipow_ceil, ipow_floor, pow_threshold, size_class
+from .exactmath import alpha_classes, ipow_ceil, ipow_floor, pow_threshold, sample, size_class
 from .instances import Graph
 
 
@@ -53,7 +53,7 @@ def _order_stat_sample(rng, members: list, s: int) -> list:
     for i in range(count):
         prev = 1.0 - (1.0 - prev) * (1.0 - rng.random()) ** (1.0 / (t - i))
         keys.append(prev)
-    owners = rng.sample(members, count)
+    owners = sample(rng, members, count)
     return list(zip(keys, owners))
 
 

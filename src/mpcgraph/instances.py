@@ -3,23 +3,27 @@
 Weights are exact rationals throughout.  Local-ratio algorithms subtract
 long chains of weights, and "positive residual" tests must be decided
 exactly, so nothing here ever touches floating point.
+
+The generators draw through ``exactmath``'s ``below``, ``sample`` and
+``binomial``, so a seed's instance depends on this package and the
+Mersenne Twister core alone, and they pause the cyclic collector.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
+from math import isqrt
 from operator import eq, lt
 from random import Random
 from typing import Iterable, Sequence
 
-from .exactmath import frac_str, ipow_floor
+from .exactmath import below, binomial, collector_paused, frac_str, ipow_floor, sample
 
 
 class MalformedInstance(ValueError):
@@ -369,17 +373,7 @@ def _validate_colouring(sol: Colouring, graph: Graph) -> ValidationReport:
 # Generators
 
 
-def _unrank_pair(idx: int) -> tuple[int, int]:
-    # Pairs (u, v), u < v, ranked by v then u: index = v*(v-1)/2 + u.
-    v = int((1 + math.isqrt(8 * idx + 1)) // 2)
-    while v * (v - 1) // 2 > idx:
-        v -= 1
-    while (v + 1) * v // 2 <= idx:
-        v += 1
-    u = idx - v * (v - 1) // 2
-    return u, v
-
-
+@collector_paused()
 def generate_graph(n: int, target_c, weight_range: tuple[int, int], seed: int) -> Graph:
     """Random graph with min(floor(n^(1+c)), n(n-1)/2) distinct edges,
     uniform without replacement, and uniform integer weights.
@@ -395,13 +389,15 @@ def generate_graph(n: int, target_c, weight_range: tuple[int, int], seed: int) -
     if lo > hi or lo < 0:
         raise MalformedInstance("bad weight range")
     rng = Random(seed)
-    keys = rng.sample(range(complete), quota)
+    keys = sample(rng, range(complete), quota)
+    # Pairs u < v are ranked by v then u: idx = v*(v-1)/2 + u.  Then
+    # 8*idx + 1 = (2v-1)^2 + 8u with 0 <= u < v, so its isqrt is 2v-1 or 2v.
     for k, idx in enumerate(keys):  # in place: u*n + v orders pairs as (u, v) does
-        u, v = _unrank_pair(idx)
-        keys[k] = u * n + v
+        v = (1 + isqrt(8 * idx + 1)) >> 1
+        keys[k] = (idx - (v * (v - 1) >> 1)) * n + v
     keys.sort()
-    shared = _SharedFractions()
-    return make_graph(n, ((*divmod(key, n), shared[rng.randint(lo, hi)]) for key in keys))
+    shared, getrandbits, span = _SharedFractions(), rng.getrandbits, hi - lo + 1
+    return make_graph(n, ((*divmod(key, n), shared[lo + below(getrandbits, span)]) for key in keys))
 
 
 class _SharedFractions(dict):
@@ -412,22 +408,7 @@ class _SharedFractions(dict):
         return f
 
 
-def _binomial(rng: Random, trials: int, p: float) -> int:
-    """Binomial(trials, p) by geometric skip sampling: O(trials*p) expected."""
-    if p <= 0 or trials <= 0:
-        return 0
-    if p >= 1:
-        return trials
-    log_q = math.log1p(-p)
-    count = 0
-    pos = 0
-    while True:
-        pos += 1 + int(math.log(1.0 - rng.random()) / log_q)
-        if pos > trials:
-            return count
-        count += 1
-
-
+@collector_paused()
 def generate_set_cover(
     n: int, m: int, density: float, weight_range: tuple[int, int], seed: int
 ) -> SetCoverInstance:
@@ -442,20 +423,18 @@ def generate_set_cover(
     if lo > hi or lo <= 0:
         raise MalformedInstance("bad weight range")
     rng = Random(seed)
+    getrandbits, span = rng.getrandbits, hi - lo + 1
     ids = list(range(m))  # sampling from it draws as sampling from range(m) does
-    sets = []
-    for _ in range(n):
-        k = _binomial(rng, m, density)
-        sets.append(rng.sample(ids, k) if k else [])
+    sets = [sample(rng, ids, binomial(rng, m, density)) for _ in range(n)]
     shared = _SharedFractions()
-    weights = [shared[rng.randint(lo, hi)] for _ in range(n)]
+    weights = [shared[lo + below(getrandbits, span)] for _ in range(n)]
     covered = bytearray(m)
     for s in sets:
         for j in s:
             covered[j] = 1
     for j in range(m):
         if not covered[j]:
-            sets[rng.randrange(n)].append(ids[j])
+            sets[below(getrandbits, n)].append(ids[j])
     del ids, covered
     for i, s in enumerate(sets):  # sorted tuples of canonical ids, which make_set_cover keeps
         s.sort()
@@ -480,12 +459,14 @@ def vertex_cover_encoding(graph: Graph, vertex_weights=None) -> SetCoverInstance
 
 @contextmanager
 def malformed_numbers(source: str):
-    """A number in ``source`` that does not parse inside this block is
-    malformed input, not a traceback."""
+    """A number in ``source`` that does not parse inside this block, or
+    text of it that is not ASCII, is malformed input, not a traceback."""
     try:
         yield
     except MalformedInstance:
         raise
+    except UnicodeDecodeError as exc:
+        raise MalformedInstance(f"{source}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInstance(f"bad number in {source}: {exc}") from exc
 

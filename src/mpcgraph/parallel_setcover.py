@@ -45,9 +45,8 @@ from .engine import (
     gather,
     run_with_retries,
 )
-from .exactmath import alpha_classes, exceeds_pow, ipow_ceil, ipow_floor, pow_threshold, size_class
+from .exactmath import alpha_classes, binomial, exceeds_pow, ipow_ceil, ipow_floor, pow_threshold, sample, size_class
 from .instances import Cover, SetCoverInstance, validate
-from .instances import _binomial
 
 
 def _set_words(instance: SetCoverInstance) -> int:
@@ -243,8 +242,8 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                             assign[i] = (ci, (-1,))
                             continue
                         q = min(1.0, quota_real / total_in_class)
-                        joins = _binomial(rng, group_counts[ci], q)
-                        gids = tuple(sorted(rng.sample(range(group_counts[ci]), joins)))
+                        joins = binomial(rng, group_counts[ci], q)
+                        gids = tuple(sorted(sample(rng, range(group_counts[ci]), joins)))
                         if gids:
                             assign[i] = (ci, gids)
                             for j in gids:

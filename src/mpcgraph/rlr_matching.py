@@ -36,7 +36,7 @@ from .engine import (
     gather_concat,
     run_with_retries,
 )
-from .exactmath import ipow_ceil
+from .exactmath import ipow_ceil, sample
 from .instances import Graph, _vertex_capacities, make_matching
 from .oracles import MatchingReduction
 
@@ -286,7 +286,7 @@ def _bmatching_attempt(graph: Graph, intw: list[int], caps: list[int], epsilon: 
                 if full or len(alive) <= sample_cap[v]:
                     chosen = alive
                 else:
-                    chosen = rng.sample(alive, sample_cap[v])
+                    chosen = sample(rng, alive, sample_cap[v])
                 out.append((0, "Ev", (v, tuple(chosen))))
             return store, out
 

@@ -26,6 +26,7 @@ from .engine import (
     gather_concat,
     run_with_retries,
 )
+from .exactmath import below
 from .instances import Cover, Graph, SetCoverInstance, validate, vertex_cover_encoding
 from .oracles import CoverReduction
 
@@ -190,7 +191,7 @@ def _vc_attempt(instance: SetCoverInstance, cluster: Cluster):
     cfg = cluster.config
     m_count = cfg.machine_count
     place_rng = Random(derive_seed(cfg.seed, -1, 0))
-    set_home = [place_rng.randrange(m_count) for _ in range(instance.n)]
+    set_home = [below(place_rng.getrandbits, m_count) for _ in range(instance.n)]
 
     _preload_elements(instance, cluster)
     for mid in range(m_count):

@@ -279,7 +279,8 @@ def test_malformed_vertex_weights_exit_code(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("case", ["instance", "vertex-weights", "solution", "directory"])
 def test_unreadable_input_exit_code(tmp_path, capsys, case):
-    # Before: a UnicodeDecodeError or IsADirectoryError traceback and exit 1.
+    # Before: a UnicodeDecodeError or IsADirectoryError traceback and exit 1;
+    # then an exit-3 message that named no file for a file that is not ASCII.
     graph = tmp_path / "g.graph"
     graph.write_text("3 2\n0 1 1\n1 2 1\n")
     commented = tmp_path / "commented"
@@ -292,7 +293,8 @@ def test_unreadable_input_exit_code(tmp_path, capsys, case):
         "directory": ["run", "vc-2", str(tmp_path)],
     }[case]
     assert cli.main(argv) == 3
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and str(tmp_path if case == "directory" else commented) in err
 
 
 def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):

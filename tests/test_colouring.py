@@ -104,6 +104,14 @@ def test_default_kappa_degenerate():
     assert default_kappa(cfg) == 1  # c <= mu collapses to one group
 
 
+@pytest.mark.parametrize("kappa", [0, -2])
+@pytest.mark.parametrize("colour", [vertex_colouring, edge_colouring])
+def test_kappa_below_one_is_rejected(colour, kappa):
+    # The group draw below(kappa) would never end for kappa < 1.
+    with pytest.raises(ValueError):
+        colour(make_graph(3, [(0, 1, 1), (1, 2, 1)]), kappa=kappa, seed=0)
+
+
 def test_more_groups_than_machines():
     # kappa above the machine count: group-central machines host several groups
     g = generate_graph(20, "1/2", (1, 1), seed=12)

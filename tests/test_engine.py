@@ -24,7 +24,8 @@ from mpcgraph.engine import (
     store_words,
     words,
 )
-from mpcgraph.instances import _binomial, generate_graph, generate_set_cover
+from mpcgraph.exactmath import below, binomial, sample
+from mpcgraph.instances import generate_graph, generate_set_cover
 
 
 def idle(mid, store, inbox, rng):
@@ -297,7 +298,9 @@ def test_seed_changes_rng_stream():
     assert derive_seed(1, 0, 0) == derive_seed(1, 0, 0)
 
 
-# Arguments of each draw, from one small integer k.
+# Arguments of each draw, from one small integer k: of a Random method, or
+# of a kernel draw from exactmath (the "exact." names), which reads the
+# RNG's getrandbits or random.
 _DRAW_ARGS = {
     "random": lambda k: (),
     "getrandbits": lambda k: (k + 1,),
@@ -306,14 +309,22 @@ _DRAW_ARGS = {
     "sample": lambda k: (range(k + 5), min(k, 5)),
     "choice": lambda k: (range(k + 1),),
     "shuffle": lambda k: (list(range(k)),),
+    "exact.below": lambda k: (3**k + 1,),
+    "exact.sample": lambda k: (range(k * k + 5), min(k, 12)),  # both branches
+    "exact.binomial": lambda k: (10 * k, 0.3),
+}
+_KERNEL = {
+    "exact.below": lambda rng, n: below(rng.getrandbits, n),
+    "exact.sample": sample,
+    "exact.binomial": binomial,
 }
 
 
 def _draw(rng, bound: dict, name: str, k: int):
     """One draw from ``rng``, through the method in ``bound`` if it holds one."""
-    if name == "binomial":
-        return _binomial(rng, 10 * k, 0.3)
     args = _DRAW_ARGS[name](k)
+    if name in _KERNEL:
+        return _KERNEL[name](rng, *args)
     result = bound.get(name, getattr(rng, name))(*args)
     return args[0] if name == "shuffle" else result
 
@@ -323,7 +334,7 @@ def _draw(rng, bound: dict, name: str, k: int):
     st.integers(0, 10**5),
     st.integers(0, 500),
     st.lists(
-        st.tuples(st.sampled_from(sorted(_DRAW_ARGS) + ["binomial"]), st.integers(0, 70), st.booleans()),
+        st.tuples(st.sampled_from(sorted(_DRAW_ARGS)), st.integers(0, 70), st.booleans()),
         min_size=1,
         max_size=12,
     ),
@@ -332,7 +343,7 @@ def test_step_random_draws_like_an_eagerly_seeded_random(seed, round_index, mid,
     """Every draw, also through a method bound before the first one, equals
     the draw from Random(derive_seed(...)); so does the state after."""
     lazy = StepRandom(seed, round_index, mid)
-    early = {name: getattr(lazy, name) for name in _DRAW_ARGS}
+    early = {name: getattr(lazy, name) for name in _DRAW_ARGS if name not in _KERNEL}
     eager = Random(derive_seed(seed, round_index, mid))
     for name, k, through_early in draws:
         got = _draw(lazy, early if through_early else {}, name, k)

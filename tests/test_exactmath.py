@@ -1,10 +1,15 @@
+import math
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpcgraph.exactmath import (
     alpha_classes,
     as_fraction,
+    below,
     exceeds_pow,
     frac_decimal,
     frac_str,
@@ -13,6 +18,7 @@ from mpcgraph.exactmath import (
     ipow_floor,
     log_ceil,
     pow_threshold,
+    sample,
 )
 
 
@@ -133,3 +139,37 @@ def test_as_fraction():
     assert as_fraction(2) == 2
     with pytest.raises(TypeError):
         as_fraction(0.2)
+
+
+def _setsize(k: int) -> int:
+    """Random.sample takes its pool branch for populations up to this size."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+@given(
+    st.integers(0, 2**64),
+    st.integers(0, 40),
+    st.integers(-8, 8),
+    st.booleans(),
+    st.integers(1, 2**70),
+    st.integers(-(10**6), 10**6),
+)
+def test_kernel_draws_match_random(seed, k, offset, as_list, width, lo):
+    """sample, below and lo + below give Random.sample's, randrange's and
+    randint's values and leave the same state, with k on both sides of 5
+    and the population on both sides of the set size."""
+    n = max(k, _setsize(k) + offset)
+    population = range(7, 7 + 3 * n, 3)
+    if as_list:
+        population = [f"item{i}" for i in population]
+    ours, theirs = Random(seed), Random(seed)
+    assert sample(ours, population, k) == theirs.sample(population, k)
+    assert below(ours.getrandbits, width) == theirs.randrange(width)
+    assert lo + below(ours.getrandbits, width) == theirs.randint(lo, lo + width - 1)
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_sample_rejects_a_count_outside_the_population(k):
+    with pytest.raises(ValueError):
+        sample(Random(1), range(3), k)

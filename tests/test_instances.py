@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpcgraph import instances
 from mpcgraph.instances import (
     Cover,
     Graph,
@@ -139,6 +141,47 @@ def test_generate_graph_pins(args, pinned):
 def test_generate_set_cover_pin():
     # The benchmark's first sc-lnD instance at seed 1.
     assert digest(set_cover_to_text(generate_set_cover(500, 384, 0.032, (1, 4), 110))) == "ecd624153c2cbea7"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize(
+    "generate, build, args",
+    [
+        (generate_graph, "make_graph", (1536, "2/5", (1, 10), 11)),
+        (generate_graph, "make_graph", (384, "4/5", (1, 10), 12)),
+        (generate_set_cover, "make_set_cover", (500, 384, 0.032, (1, 4), 110)),
+    ],
+)
+def test_generators_pause_the_collector(generate, build, args, fails, collecting, monkeypatch):
+    """The collector is off while an instance is built and, afterwards, as
+    it was at entry, also when the build raises.  Generating leaves no
+    cyclic garbage, which is what makes the pause safe."""
+    states = []
+    real = getattr(instances, build)
+
+    def spy(*a):
+        states.append(gc.isenabled())
+        if fails:
+            raise MalformedInstance("forced")
+        return real(*a)
+
+    monkeypatch.setattr(instances, build, spy)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        gc.collect()
+        if fails:
+            with pytest.raises(MalformedInstance):
+                generate(*args)
+        else:
+            built = generate(*args)
+            del built
+            assert gc.collect() == 0
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states == [False]
 
 
 def test_closed_form_pair_unranking():
