@@ -3,6 +3,8 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from mpcgraph.exactmath import harmonic
@@ -28,6 +30,7 @@ from mpcgraph.oracles import (
     lr_set_cover_seq,
     misra_gries_edge_colouring_seq,
 )
+from references import misra_gries_by_dict_scan
 
 
 def p3_weighted():
@@ -274,6 +277,34 @@ def test_misra_gries_random_sweep():
         assert validate(col, g).feasible
         if g.m:
             assert max(col.colours) <= g.max_degree + 1
+
+
+@st.composite
+def edge_colouring_graphs(draw):
+    """A sparse, dense, star or complete graph, with its vertex labels and
+    edge ids shuffled (the fan centre of an edge is its lower endpoint)."""
+    shape = draw(st.sampled_from(["sparse", "dense", "star", "complete"]))
+    n = draw(st.integers(1, 26))
+    rng = Random(draw(st.integers(0, 2**32)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if shape == "star":
+        pairs = [(0, v) for v in range(1, n)]
+    elif shape != "complete":
+        density = 0.15 if shape == "sparse" else 0.7
+        pairs = [p for p in pairs if rng.random() < density]
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(pairs)
+    return make_graph(n, [(label[u], label[v], 1) for u, v in pairs])
+
+
+@settings(deadline=None)
+@given(edge_colouring_graphs())
+def test_misra_gries_equals_dict_scan_reference(g):
+    col = misra_gries_edge_colouring_seq(g)
+    assert col.colours == misra_gries_by_dict_scan(g).colours
+    assert validate(col, g).feasible
+    assert max(col.colours, default=0) <= g.max_degree + 1
 
 
 # ---------------------------------------------------------------- brute force

@@ -4,10 +4,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
+from references import push_best_by_fraction_sort
 from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
@@ -308,3 +309,48 @@ def test_one_ranking_per_vertex_equals_rescanning(case):
     fast = _push_best(reds[0], candidates, quota, _heavy_test(1 + eps))
     assert fast == _push_best_by_rescan(reds[1], candidates, quota)
     assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
+
+
+# Tied gains come from small weights and few phi values; wide ones from
+# denominators up to 10**12, as a long b-matching push chain builds them.
+TIED_PHIS = st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 6)])
+WIDE_PHIS = st.one_of(st.integers(0, 40), st.fractions(min_value=0, max_value=40, max_denominator=10**12))
+
+
+@st.composite
+def ranked_pushes(draw):
+    """One vertex's candidates and the reduction they meet: match-2's
+    (int phi, no capacities, eps = 0) or b-matching's (capacities, int or
+    Fraction phi, eps = 0 or above)."""
+    n = draw(st.integers(2, 9))
+    v = draw(st.integers(0, n - 1))
+    others = draw(st.lists(st.integers(0, n - 1).filter(lambda y: y != v), unique=True))
+    eids = draw(st.lists(st.integers(0, 99), min_size=len(others), max_size=len(others), unique=True))
+    tied = draw(st.booleans())
+    weights = st.integers(0, 6) if tied else st.integers(0, 10**6)
+    candidates = [(eid, min(v, y), max(v, y), draw(weights)) for eid, y in zip(eids, others)]
+    if draw(st.booleans()):
+        caps, eps = None, Fraction(0)
+        phi = draw(st.lists(st.integers(0, 3 if tied else 10**6), min_size=n, max_size=n))
+    else:
+        caps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        eps = draw(st.one_of(st.just(Fraction(0)), EPSILONS))
+        phi = draw(st.lists(TIED_PHIS if tied else WIDE_PHIS, min_size=n, max_size=n))
+    pushed = draw(st.sets(st.sampled_from(eids))) if eids else set()
+    return candidates, caps, phi, pushed, eps, draw(st.integers(1, 6))
+
+
+@settings(deadline=None)
+@given(ranked_pushes())
+def test_push_best_equals_fraction_key_sort(case):
+    candidates, caps, phi, pushed, eps, quota = case
+    reds = []
+    for _ in range(2):
+        red = MatchingReduction(len(phi), caps, eps)
+        red.phi = list(phi)
+        red.pushed = set(pushed)
+        reds.append(red)
+    fast = _push_best(reds[0], candidates, quota, _heavy_test(1 + eps))
+    assert fast == push_best_by_fraction_sort(reds[1], candidates, quota, _heavy_test(1 + eps))
+    assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
+    assert reds[0].pushed == reds[1].pushed

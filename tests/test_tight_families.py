@@ -3,14 +3,16 @@ at zero tolerance, and its measured ratio must reach a floor, which shows
 that the family comes close to the bound."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from mpcgraph.colouring import edge_colouring, vertex_colouring
 from mpcgraph.instances import validate, validate_b_matching, vertex_cover_encoding
-from mpcgraph.oracles import brute_force_max_matching, brute_force_min_cover
+from mpcgraph.oracles import brute_force_max_matching, brute_force_min_cover, is_independent_set
 from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching
 from mpcgraph.rlr_setcover import approx_sc_f, vertex_cover_2approx
-from tight_families import disjoint_unit_edges, relabelled_p4_paths, singleton_sets
+from tight_families import complete_graph, disjoint_unit_edges, odd_cycle, relabelled_p4_paths, singleton_sets
 
 EPS = Fraction(1, 10)
 RUNS = {
@@ -64,3 +66,46 @@ def test_singleton_sets_reach_f(f):
         ratio = cover.weight(instance) / opt
         assert ratio <= f
         assert ratio == f
+
+
+# (algorithm, family, size): K_{Delta+1} and odd cycles for vertex
+# colouring, K_n with n odd and odd cycles for edge colouring.
+COLOURING_FAMILIES = [
+    ("colour-v", complete_graph, 9),
+    ("colour-v", odd_cycle, 12),
+    ("colour-e", complete_graph, 9),
+    ("colour-e", complete_graph, 11),
+    ("colour-e", odd_cycle, 12),
+]
+COLOURINGS = {"colour-v": vertex_colouring, "colour-e": edge_colouring}
+
+
+@pytest.mark.parametrize(
+    "kind,family,size",
+    [("vertex", complete_graph, 5), ("vertex", odd_cycle, 3), ("edge", complete_graph, 5), ("edge", odd_cycle, 3)],
+)
+def test_colouring_families_need_delta_plus_one(kind, family, size):
+    # The closed form against the counting bound: a colour class is an
+    # independent set (vertex) or a matching (edge), so at least
+    # items / (largest class) colours are needed.
+    g, need = family(size, seed=1)
+    assert need == g.max_degree + 1
+    if kind == "edge":
+        largest = len(brute_force_max_matching(g)[1])
+        items = g.m
+    else:
+        largest = max(k for k in range(1, g.n + 1) for vs in combinations(range(g.n), k) if is_independent_set(g, vs))
+        items = g.n
+    assert -(-items // largest) == need
+
+
+@pytest.mark.parametrize("alg,family,size", COLOURING_FAMILIES)
+def test_colouring_families_reach_delta_plus_one(alg, family, size):
+    for seed in range(1, 6):
+        g, need = family(size, seed)
+        res = COLOURINGS[alg](g, kappa=1, seed=seed)
+        assert validate(res.value, g).feasible
+        bound = g.max_degree + 1
+        assert res.extras["count_bound"] == bound
+        assert res.value.colour_count <= bound
+        assert res.value.colour_count >= need == bound

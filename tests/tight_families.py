@@ -3,11 +3,15 @@ each with its optimum in closed form, so no brute force is needed.
 
 Local ratio and its bounds: Bar-Yehuda and Even (1985); Bar-Yehuda,
 Bendel, Freund and Rawitz, "Local ratio: a unified framework" (2004).
+The colouring families need Delta + 1 colours, the most that greedy
+vertex colouring and Misra-Gries edge colouring (Misra and Gries, "A
+constructive proof of Vizing's theorem", 1992) may use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 from mpcgraph.instances import Graph, SetCoverInstance, make_graph, make_set_cover
 
@@ -54,3 +58,34 @@ def singleton_sets(m: int, f: int) -> tuple[SetCoverInstance, int]:
     """
     sets = [(j,) for j in range(m) for _ in range(f)]
     return make_set_cover(len(sets), m, sets, [1] * len(sets)), m
+
+
+def _shuffled(n: int, pairs: list, seed: int) -> Graph:
+    """The graph on ``pairs`` with seeded vertex labels and edge ids."""
+    rng = Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    return make_graph(n, [(label[u], label[v], 1) for u, v in pairs])
+
+
+def complete_graph(n: int, seed: int) -> tuple[Graph, int]:
+    """K_n with seeded edge ids, and the colours every vertex colouring
+    needs: n = Delta + 1, since no two vertices may share one.
+
+    For odd n every edge colouring needs n = Delta + 1 colours as well: a
+    colour class is a matching of at most (n - 1)/2 edges, and there are
+    n(n - 1)/2 edges.
+    """
+    return _shuffled(n, [(u, v) for u in range(n) for v in range(u + 1, n)], seed), n
+
+
+def odd_cycle(k: int, seed: int) -> tuple[Graph, int]:
+    """The cycle on 2k + 1 vertices, with seeded vertex labels and edge
+    ids, and the colours both its vertex and its edge colourings need:
+    3 = Delta + 1, since a colour class holds at most k of its 2k + 1
+    vertices (an independent set) or edges (a matching).
+    """
+    n = 2 * k + 1
+    return _shuffled(n, [(i, (i + 1) % n) for i in range(n)], seed), 3
