@@ -67,7 +67,8 @@ def _merged_colouring(cluster: Cluster, kind: str, count: int, kappa: int, count
     result = Colouring(kind=kind, groups=groups, colours=colours)
     max_delta = max(deltas.values(), default=0)
     bound = kappa * (max_delta + 1)
-    assert result.colour_count <= bound, "colour count exceeded kappa*(max Delta_i + 1)"
+    if result.colour_count > bound:
+        raise AssertionError("colour count exceeded kappa*(max Delta_i + 1)")
     extras = {
         "kappa": kappa,
         "group_deltas": [deltas.get(g, 0) for g in range(kappa)],

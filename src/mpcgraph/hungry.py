@@ -169,7 +169,8 @@ def _final_sweep(cluster: Cluster, view, tag: str) -> tuple:
     def sweep_central(store, inbox):
         left = gather_concat(inbox, "sweep")
         for v, deg in left:
-            assert deg == 0, f"final sweep saw alive vertex {v} with degree {deg}"
+            if deg:
+                raise AssertionError(f"final sweep saw alive vertex {v} with degree {deg}")
         members = store[key].value + tuple(v for v, _ in sorted(left))
         added = tuple(v for v, _ in left)  # unread, but charged like the scan's
         return {**store, key: Payload(members, len(members)), "added": added}, []
@@ -277,7 +278,8 @@ class _Residual:
             self.update(cluster, newly, thr, f"{tag}:phase-upd")
         self.recount(cluster, thr, f"{tag}:post")
         heavy_left = _vh_total(cluster, f"{tag}:vh2")  # a charged round, also under -O
-        assert heavy_left == 0, "phase-end MIS left a heavy vertex alive"
+        if heavy_left:
+            raise AssertionError("phase-end MIS left a heavy vertex alive")
 
     def extras(self, passes: int, vh_series: list) -> dict:
         return {"vh_series": vh_series, "passes": passes}

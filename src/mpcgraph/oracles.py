@@ -221,70 +221,74 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
 
     Deterministic: edges are processed in id order, fans extend with the
     lowest feasible colour, and the recolouring vertex is the earliest
-    valid fan position.  A fan step scans only the colours in use at x.
-    After the path inversion the earliest fan position whose end has d
-    free is used directly, with no scan for the prefix that is still a
-    valid fan: the comment at that step shows it always lies there.
+    valid fan position.  Each vertex keeps a colour -> edge dict and a
+    bitmask of its used colours (bit 0 always set), so a free colour is
+    the mask's lowest clear bit, a fan step takes the lowest set bit of
+    x's unused spokes that is clear at the fan's end, and each rotation
+    step moves one colour between three vertices.  After the path
+    inversion the earliest fan position whose end has d free is used
+    directly, with no scan for the prefix that is still a valid fan: the
+    comment at that step shows it always lies there.
     """
-    n, m = graph.n, graph.m
+    m = graph.m
     palette = graph.max_degree + 1
     edges = graph.edges
     colour = [0] * m
-    used: list[dict[int, int]] = [dict() for _ in range(n)]
-
-    def set_colour(eid: int, c: int) -> None:
-        u, v, _ = edges[eid]
-        old = colour[eid]
-        if old:
-            del used[u][old]
-            del used[v][old]
-        colour[eid] = c
-        if c:
-            used[u][c] = eid
-            used[v][c] = eid
-
-    def free_colour(v: int) -> int:
-        for c in range(1, palette + 1):
-            if c not in used[v]:
-                return c
-        raise AssertionError("no free colour within Delta+1 palette")
+    used: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    mask = [1] * graph.n
 
     def invert_cd_path(x: int, c: int, d: int) -> None:
+        # The path starts with x's d-edge and alternates d, c, d, ...; its
+        # inner vertices keep both colours, its two ends swap one for the
+        # other.
         path = []
-        v, want = x, d
-        while True:
-            e = used[v].get(want)
-            if e is None:
-                break
-            path.append((e, want))
+        v, want, other = x, d, c
+        e = used[x].get(d)
+        while e is not None:
+            path.append(e)
             a, b, _ = edges[e]
             v = b if v == a else a
-            want = c if want == d else d
-        for e, _ in path:
-            set_colour(e, 0)
-        for e, had in path:
-            set_colour(e, c if had == d else d)
+            want, other = other, want
+            e = used[v].get(want)
+        for e in path:
+            a, b, _ = edges[e]
+            had = colour[e]
+            del used[a][had], used[b][had]
+        for e in path:
+            a, b, _ = edges[e]
+            new = colour[e] = c + d - colour[e]
+            used[a][new] = used[b][new] = e
+        swap = (1 << c) | (1 << d)
+        mask[x] ^= swap
+        mask[v] ^= swap
 
     for e0 in range(m):
-        x, f, _ = edges[e0]
-        fan = [(e0, f)]
-        # x's coloured edges (colour, edge), ascending by colour.  Their far
-        # ends are distinct and none is f, so an edge leaves the list when
-        # it joins the fan and the rest lead outside the fan.
-        spokes = sorted(used[x].items())
+        x, last, _ = edges[e0]
+        at_x = used[x]
+        fan_edges = [e0]
+        fan_ends = [last]
+        # x's coloured edges not yet in the fan, as colour bits.  Their far
+        # ends are distinct and none is e0's, so an edge leaves the set
+        # when it joins the fan and the rest lead outside the fan.
+        spokes = mask[x]
         while True:
-            busy = used[fan[-1][1]]
-            for i, (c, e) in enumerate(spokes):
-                if c not in busy:
-                    a, b, _ = edges[e]
-                    fan.append((e, b if x == a else a))
-                    del spokes[i]
-                    break
-            else:
+            free = spokes & ~mask[last]
+            if not free:
                 break
-        c = free_colour(x)
-        d = free_colour(fan[-1][1])
-        if d in used[x]:
+            low = free & -free
+            spokes ^= low
+            e = at_x[low.bit_length() - 1]
+            a, b, _ = edges[e]
+            last = b if x == a else a
+            fan_edges.append(e)
+            fan_ends.append(last)
+        mx, ml = mask[x], mask[last]
+        c = (~mx & (mx + 1)).bit_length() - 1
+        d = (~ml & (ml + 1)).bit_length() - 1
+        if c > palette or d > palette:
+            raise AssertionError("no free colour within Delta+1 palette")
+        bit_d = 1 << d
+        if mx & bit_d:
             invert_cd_path(x, c, d)
         # The earliest fan position whose end has d free always lies in the
         # prefix the inversion left a valid fan.  The inversion swaps c and
@@ -296,14 +300,30 @@ def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:
         # condition for fan[i + 1]), so it is no inner path vertex, and as
         # the path's last one its c-edge would have turned to d, freeing c.
         # So it is off the path, d is still free there, and pick <= i.
-        pick = next((j for j in range(len(fan)) if d not in used[fan[j][1]]), None)
-        assert pick is not None, "Misra-Gries invariant: a valid fan position exists"
+        for pick, y in enumerate(fan_ends):
+            if not mask[y] & bit_d:
+                break
+        else:
+            raise AssertionError("Misra-Gries invariant: a valid fan position exists")
+        # Rotate: fan edge i takes fan edge i + 1's colour s.  x keeps its
+        # colour set, fan end i gains s and fan end i + 1 loses it.
         for i in range(pick):
-            shifted = colour[fan[i + 1][0]]
-            set_colour(fan[i + 1][0], 0)
-            set_colour(fan[i][0], shifted)
-        assert d not in used[x]
-        set_colour(fan[pick][0], d)
+            e, nxt = fan_edges[i], fan_edges[i + 1]
+            s = colour[e] = colour[nxt]
+            bit = 1 << s
+            at_x[s] = e
+            y, z = fan_ends[i], fan_ends[i + 1]
+            used[y][s] = e
+            mask[y] |= bit
+            del used[z][s]
+            mask[z] ^= bit
+        if mask[x] & bit_d:
+            raise AssertionError("Misra-Gries invariant: d is free at x after the rotation")
+        e, y = fan_edges[pick], fan_ends[pick]
+        colour[e] = d
+        at_x[d] = used[y][d] = e
+        mask[x] |= bit_d
+        mask[y] |= bit_d
 
     return Colouring(kind="edge", groups=(0,) * m, colours=tuple(colour))
 

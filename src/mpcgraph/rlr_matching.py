@@ -337,8 +337,9 @@ def _heavy_test(one_plus_eps: Fraction):
     r, s = one_plus_eps.numerator, one_plus_eps.denominator
 
     def heavy(w: int, pa, pb) -> bool:
-        da, db = pa.denominator, pb.denominator
-        return w * s * da * db > r * (pa.numerator * db + pb.numerator * da)
+        na, da = pa.as_integer_ratio()
+        nb, db = pb.as_integer_ratio()
+        return w * s * da * db > r * (na * db + nb * da)
 
     return heavy
 
@@ -351,11 +352,18 @@ def _push_best(red: MatchingReduction, candidates, quota: int, heavy) -> list[in
     A push at v lowers the gain of every other candidate of v by the same
     amount, so one ranking serves the whole loop.  Pushes only raise phi,
     so a candidate dead now stays dead, and each one is tested again when
-    its turn comes.
+    its turn comes.  The ranking keys are exact ints: with L the lcm of
+    the phi denominators at the alive records' ends, every key's gain * L
+    = w*L - phi[a]*L - phi[b]*L is an int, and scaling all gains by one
+    positive L keeps their order, so no Fraction is built or compared.
     """
     phi, pushed = red.phi, red.pushed
     alive = [rec for rec in candidates if rec[0] not in pushed and heavy(rec[3], phi[rec[1]], phi[rec[2]])]
-    alive.sort(key=lambda rec: (rec[3] - phi[rec[1]] - phi[rec[2]], -rec[0]), reverse=True)
+    if len(alive) > 1:
+        ratios = {x: phi[x].as_integer_ratio() for rec in alive for x in (rec[1], rec[2])}
+        scale = math.lcm(*[den for _, den in ratios.values()])
+        scaled = {x: num * (scale // den) for x, (num, den) in ratios.items()}
+        alive.sort(key=lambda rec: (rec[3] * scale - scaled[rec[1]] - scaled[rec[2]], -rec[0]), reverse=True)
     out = []
     for eid, a, b2, w in alive:
         if len(out) == quota:

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -120,3 +123,32 @@ def test_more_groups_than_machines():
     assert res.cluster.machine_count < 7
     res_e = edge_colouring(g, kappa=7, seed=3)
     assert validate(res_e.value, g).feasible
+
+
+# Replaces Misra-Gries with one colour per edge, over the Delta + 1 bound,
+# and exits 0 only if the run fails the colour-count check.
+OVER_BOUND = """
+import sys
+from mpcgraph import colouring
+from mpcgraph.instances import Colouring, make_graph
+
+colouring.misra_gries_edge_colouring_seq = lambda sub: Colouring("edge", (0,) * sub.m, tuple(range(1, sub.m + 1)))
+k4 = make_graph(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
+try:
+    colouring.edge_colouring(k4, kappa=1, seed=1)
+except AssertionError as exc:
+    print(__debug__, exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_over_bound_colouring_fails_also_under_python_O(flags, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", OVER_BOUND], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == f"{not flags} colour count exceeded kappa*(max Delta_i + 1)\n"
