@@ -352,14 +352,18 @@ def _push_best(red: MatchingReduction, candidates, quota: int, heavy) -> list[in
     A push at v lowers the gain of every other candidate of v by the same
     amount, so one ranking serves the whole loop.  Pushes only raise phi,
     so a candidate dead now stays dead, and each one is tested again when
-    its turn comes.  The ranking keys are exact ints: with L the lcm of
-    the phi denominators at the alive records' ends, every key's gain * L
-    = w*L - phi[a]*L - phi[b]*L is an int, and scaling all gains by one
-    positive L keeps their order, so no Fraction is built or compared.
+    its turn comes.  The ranking keys are exact ints.  Without capacities
+    (match-2) phi and w are ints, and so is every gain.  With them phi
+    holds Fractions: with L the lcm of the phi denominators at the alive
+    records' ends, every gain * L = w*L - phi[a]*L - phi[b]*L is an int,
+    and scaling all gains by one positive L keeps their order, so no
+    Fraction is built or compared.
     """
     phi, pushed = red.phi, red.pushed
     alive = [rec for rec in candidates if rec[0] not in pushed and heavy(rec[3], phi[rec[1]], phi[rec[2]])]
-    if len(alive) > 1:
+    if red.caps is None:
+        alive.sort(key=lambda rec: (rec[3] - phi[rec[1]] - phi[rec[2]], -rec[0]), reverse=True)
+    elif len(alive) > 1:
         ratios = {x: phi[x].as_integer_ratio() for rec in alive for x in (rec[1], rec[2])}
         scale = math.lcm(*[den for _, den in ratios.values()])
         scaled = {x: num * (scale // den) for x, (num, den) in ratios.items()}
