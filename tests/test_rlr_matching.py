@@ -246,11 +246,12 @@ def test_scaled_weights_match_fraction_scaling(weights):
 
 
 # phi values as the b-matching reduction holds them: the int 0 it starts
-# from, or exact non-negative rationals (small denominators make ties).
+# from, or exact non-negative rationals (small denominators make ties,
+# large ones are what a long push chain builds).
 PHIS = st.one_of(
     st.just(0),
     st.fractions(min_value=0, max_value=20, max_denominator=6),
-    st.fractions(min_value=0, max_denominator=10**9),
+    st.fractions(min_value=0, max_denominator=10**12),
 )
 EPSILONS = st.one_of(
     st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(3, 2)]),
@@ -281,45 +282,13 @@ def _push_best_by_rescan(red: MatchingReduction, candidates, quota: int) -> list
     return out
 
 
+# With small weights, few phi values make many tied gains.
+TIED_PHIS = st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 6)])
+
+
 @st.composite
 def vertex_pushes(draw):
-    """One vertex's candidates, with the reduction state they meet."""
-    n = draw(st.integers(2, 9))
-    v = draw(st.integers(0, n - 1))
-    others = draw(st.lists(st.integers(0, n - 1).filter(lambda y: y != v), unique=True))
-    eids = draw(st.lists(st.integers(0, 99), min_size=len(others), max_size=len(others), unique=True))
-    candidates = [(eid, min(v, y), max(v, y), draw(st.integers(0, 40))) for eid, y in zip(eids, others)]
-    caps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    phi = draw(st.lists(PHIS, min_size=n, max_size=n))
-    pushed = draw(st.sets(st.sampled_from(eids))) if eids else set()
-    return candidates, caps, phi, pushed, draw(EPSILONS), draw(st.integers(1, 5))
-
-
-@given(vertex_pushes())
-def test_one_ranking_per_vertex_equals_rescanning(case):
-    # The integer alive test and one (gain, -eid) ranking per vertex push
-    # the same edges, in the same order, to the same phi as the rescan.
-    candidates, caps, phi, pushed, eps, quota = case
-    reds = []
-    for _ in range(2):
-        red = MatchingReduction(len(caps), caps, eps)
-        red.phi = list(phi)
-        red.pushed = set(pushed)
-        reds.append(red)
-    fast = _push_best(reds[0], candidates, quota, _heavy_test(1 + eps))
-    assert fast == _push_best_by_rescan(reds[1], candidates, quota)
-    assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
-
-
-# Tied gains come from small weights and few phi values; wide ones from
-# denominators up to 10**12, as a long b-matching push chain builds them.
-TIED_PHIS = st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(5, 6)])
-WIDE_PHIS = st.one_of(st.integers(0, 40), st.fractions(min_value=0, max_value=40, max_denominator=10**12))
-
-
-@st.composite
-def ranked_pushes(draw):
-    """One vertex's candidates and the reduction they meet: match-2's
+    """One vertex's candidates and the reduction state they meet: match-2's
     (int phi, no capacities, eps = 0) or b-matching's (capacities, int or
     Fraction phi, eps = 0 or above)."""
     n = draw(st.integers(2, 9))
@@ -327,30 +296,50 @@ def ranked_pushes(draw):
     others = draw(st.lists(st.integers(0, n - 1).filter(lambda y: y != v), unique=True))
     eids = draw(st.lists(st.integers(0, 99), min_size=len(others), max_size=len(others), unique=True))
     tied = draw(st.booleans())
-    weights = st.integers(0, 6) if tied else st.integers(0, 10**6)
+    weights = st.integers(0, 6) if tied else st.integers(0, 40)
     candidates = [(eid, min(v, y), max(v, y), draw(weights)) for eid, y in zip(eids, others)]
     if draw(st.booleans()):
         caps, eps = None, Fraction(0)
-        phi = draw(st.lists(st.integers(0, 3 if tied else 10**6), min_size=n, max_size=n))
+        phi = draw(st.lists(st.integers(0, 3 if tied else 20), min_size=n, max_size=n))
     else:
         caps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
         eps = draw(st.one_of(st.just(Fraction(0)), EPSILONS))
-        phi = draw(st.lists(TIED_PHIS if tied else WIDE_PHIS, min_size=n, max_size=n))
+        phi = draw(st.lists(TIED_PHIS if tied else PHIS, min_size=n, max_size=n))
     pushed = draw(st.sets(st.sampled_from(eids))) if eids else set()
     return candidates, caps, phi, pushed, eps, draw(st.integers(1, 6))
 
 
-@settings(deadline=None)
-@given(ranked_pushes())
-def test_push_best_equals_fraction_key_sort(case):
-    candidates, caps, phi, pushed, eps, quota = case
+def _reductions(caps, phi, pushed, eps) -> list[MatchingReduction]:
+    """Two equal reductions, one for the kernel and one for a reference."""
     reds = []
     for _ in range(2):
         red = MatchingReduction(len(phi), caps, eps)
         red.phi = list(phi)
         red.pushed = set(pushed)
         reds.append(red)
+    return reds
+
+
+@settings(deadline=None)
+@given(vertex_pushes())
+def test_one_ranking_per_vertex_equals_rescanning(case):
+    # The integer alive test and one (gain, -eid) ranking per vertex push
+    # the same edges, in the same order, to the same phi as the rescan.
+    candidates, caps, phi, pushed, eps, quota = case
+    reds = _reductions(caps, phi, pushed, eps)
     fast = _push_best(reds[0], candidates, quota, _heavy_test(1 + eps))
-    assert fast == push_best_by_fraction_sort(reds[1], candidates, quota, _heavy_test(1 + eps))
+    assert fast == _push_best_by_rescan(reds[1], candidates, quota)
+    assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
+
+
+@settings(deadline=None)
+@given(vertex_pushes())
+def test_push_best_equals_fraction_key_sort(case):
+    # Integer keys rank exactly as the Fraction gains do, ties included.
+    candidates, caps, phi, pushed, eps, quota = case
+    reds = _reductions(caps, phi, pushed, eps)
+    heavy = _heavy_test(1 + eps)
+    fast = _push_best(reds[0], candidates, quota, heavy)
+    assert fast == push_best_by_fraction_sort(reds[1], candidates, quota, heavy)
     assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
     assert reds[0].pushed == reds[1].pushed
