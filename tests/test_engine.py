@@ -291,6 +291,89 @@ def test_inbox_sorted_by_sender_then_key():
     assert cl.stores[0]["inbox"] == ((1, "a", 1), (1, "b", 1), (2, "a", 2), (2, "b", 2))
 
 
+@st.composite
+def traffic(draw):
+    """A machine count, an execution order (the default or a permutation)
+    and a list of rounds: plain rounds and single delivery waves whose
+    machines send drawn (dst, key) messages in arbitrary order, and real
+    broadcasts and aggregates."""
+    m = draw(st.integers(1, 5))
+    order = draw(st.one_of(st.none(), st.permutations(range(m))))
+    keys = st.sampled_from(["a", "b", "c", "bc:a", "agg:b"])
+    sends = st.lists(st.tuples(st.integers(0, m - 1), keys), max_size=5)
+    kinds = st.sampled_from(["plain", "wave", "broadcast", "aggregate"])
+    rounds = draw(st.lists(st.tuples(kinds, st.lists(sends, min_size=m, max_size=m)), min_size=1, max_size=6))
+    return m, order, rounds
+
+
+@given(traffic())
+def test_every_inbox_and_delivery_arrives_in_sender_key_order(case):
+    """Whatever the execution order and the order of sends, each step's
+    inbox, and the deliveries each machine absorbs, are the stable
+    (sender, key) sort of what was sent to it in the round before."""
+    m, order, rounds = case
+    log = []  # per round: whether it was a wave, and mid -> (inbox, absorbed, outbox)
+    absorbed = []
+    run_round, absorb = Cluster.run_round, Cluster._absorb
+
+    def recording_absorb(store, deliveries):
+        result = absorb(store, deliveries)
+        absorbed.append(list(deliveries))
+        return result
+
+    def recording_run_round(cluster, step, label=""):
+        calls = {}
+
+        def recorded(mid, store, inbox, rng):
+            new_store, outbox = step(mid, store, inbox, rng)
+            calls[mid] = (inbox, absorbed.pop() if absorbed else None, list(outbox))
+            return new_store, outbox
+
+        log.append((cluster._delivering, calls))
+        return run_round(cluster, recorded, label)
+
+    def sender(sends, wave=False):
+        def step(mid, store, inbox, rng):
+            out = []
+            for i, (dst, key) in enumerate(sends[mid]):
+                if wave and ":" not in key:
+                    key = "agg:" + key
+                out.append((dst, key, (dst, mid, i)))
+            return store, out
+
+        return step
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cluster, "run_round", recording_run_round)
+        patch.setattr(Cluster, "_absorb", staticmethod(recording_absorb))
+        cl = Cluster(cfg(m), exec_order=order)
+        for mid in range(m):
+            cl.preload(mid, "v", mid)
+        for kind, sends in rounds:
+            if kind == "plain":
+                cl.run_round(sender(sends), "plain")
+            elif kind == "wave":
+                cl._waves(lambda wave: sender(sends, wave=True), 1, "wave")
+            elif kind == "broadcast":
+                cl.broadcast("p", (1, 2))
+            else:
+                cl.aggregate("v", lambda a, b: a + b)
+        cl.run_round(idle, "last")
+
+    assert all(call[:2] == ((), None) for call in log[0][1].values())
+    for (wave, before), (_, after) in zip(log, log[1:]):
+        for mid in range(m):
+            sent = [(src, key, value) for src in range(m) for dst, key, value in before[src][2] if dst == mid]
+            expected = sorted(sent, key=lambda t: (t[0], t[1]))
+            inbox, delivered, _ = after[mid]
+            if wave:
+                assert inbox == ()
+                assert delivered == ([(*t, words(t[2])) for t in expected] or None)
+            else:
+                assert list(inbox) == expected
+                assert delivered is None
+
+
 def test_seed_changes_rng_stream():
     assert derive_seed(1, 0, 0) != derive_seed(2, 0, 0)
     assert derive_seed(1, 0, 0) != derive_seed(1, 1, 0)
