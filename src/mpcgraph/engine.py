@@ -16,14 +16,20 @@ store instead (a broadcast payload, or a fold part).
 
 Accounting is proportional to what changed.  Each message is sized once,
 at send: its words are added to its receiver's in-flight total, and a
-delivery also carries its size into the store.  Each machine keeps the
+delivery also carries its size into the store.  A flat message (a scalar,
+or a tuple of scalars) is sized inline, and a ``Payload`` message carries
+the size its sender declared, which must equal ``words`` of its value;
+only other messages go through ``words``.  Each machine keeps the
 size of every store value it has seen; when a step returns a new store,
 only the values that are not the same objects as before are sized again.
 So a step must never mutate a store value, or a value it has sent, in
 place: it builds a new one instead.
 
 Determinism: a machine step's RNG is Random(derive_seed(seed, round,
-machine id)) and inboxes are sorted by (sender, key), so traces are
+machine id)), and every inbox and delivery list is in (sender, key) order
+by construction: once all steps of a round have run, the senders'
+outboxes are dispatched in ascending sender order, each stably sorted by
+key when it mixes keys, so no inbox is ever sorted.  Traces are
 byte-identical for a fixed ClusterConfig regardless of execution order.
 The RNG hashes and seeds at its first use (``StepRandom``), so a step
 that never draws costs no seeding and sees the same stream if it does.
@@ -301,7 +307,7 @@ class RoundRecord:
 # Key prefixes of the engine deliveries that broadcast and aggregate send.
 _BC = "bc:"
 _AGG = "agg:"
-_BY_SENDER_KEY = itemgetter(0, 1)
+_KEY = itemgetter(1)
 
 
 class Cluster:
@@ -359,7 +365,7 @@ class Cluster:
         """Run one synchronous round.
 
         ``step(machine_id, store, inbox, rng) -> (new_store, outbox)`` must
-        be a pure function; outbox entries are (dst, key, value).
+        be a pure function; the outbox is a list of (dst, key, value).
         """
         idx = len(self.rounds)
         m = self.config.machine_count
@@ -370,48 +376,58 @@ class Cluster:
         pending_words = self._pending_words = [0] * m
         delivering = self._delivering
         outgoing = self._deliveries if delivering else self._pending
-        sent = [0] * m
-        peaks = [0] * m
-        messages = 0
-        violations: list[tuple[str, int, int]] = []
+        outboxes: list = [()] * m
         new_stores: list[dict] = list(self.stores)
         new_words: list[int] = list(self._store_words)
 
         for mid in self._order:
-            inbox = inboxes[mid]
-            inbox.sort(key=_BY_SENDER_KEY)
-            in_words = received[mid]
             store = absorbed = self.stores[mid]
             delivered = None
             if deliveries[mid]:
                 absorbed, delivered = self._absorb(store, deliveries[mid])
             rng = StepRandom(self.config.seed, idx, mid)
-            result = step(mid, absorbed, tuple(inbox), rng)
-            new_store, outbox = result
+            new_store, outboxes[mid] = step(mid, absorbed, tuple(inboxes[mid]), rng)
+            if new_store is not store:
+                if delivered:
+                    self._sizes[mid].update(delivered)
+                new_words[mid] = self._sized(mid, new_store)
+            new_stores[mid] = new_store
+
+        # Senders go in ascending order, each with its outbox stably sorted
+        # by key, so every inbox and delivery list fills in (sender, key)
+        # order whatever the execution order.  Each outbox is let go once
+        # dispatched, so the round holds one copy of its messages.
+        sent = [0] * m
+        peaks = [0] * m
+        messages = 0
+        violations: list[tuple[str, int, int]] = []
+        for mid in range(m):
+            outbox, outboxes[mid] = outboxes[mid], ()
+            if len(outbox) > 1 and len(set(map(_KEY, outbox))) > 1:
+                outbox = sorted(outbox, key=_KEY)
             out_words = 0
             for dst, key, value in outbox:
                 if not (0 <= dst < m):
                     raise ValueError(f"message to unknown machine {dst}")
-                size = 1 if type(value) in _SCALARS else words(value)
+                kind = type(value)
+                if kind in _SCALARS:
+                    size = 1
+                elif kind is Payload:
+                    size = value.word_size
+                elif kind is tuple and _SCALARS.issuperset(map(type, value)):
+                    size = len(value)
+                else:
+                    size = words(value)
                 out_words += size
                 pending_words[dst] += size
                 if delivering:
                     outgoing[dst].append((mid, key, value, size))
                 else:
                     outgoing[dst].append((mid, key, value))
-                messages += 1
+            messages += len(outbox)
             sent[mid] = out_words
-            before = self._store_words[mid]
-            if new_store is store:
-                after = before
-            else:
-                if delivered:
-                    self._sizes[mid].update(delivered)
-                after = self._sized(mid, new_store)
-            peak = max(before + in_words, after + out_words)
+            peak = max(self._store_words[mid] + received[mid], new_words[mid] + out_words)
             peaks[mid] = peak
-            new_stores[mid] = new_store
-            new_words[mid] = after
             if out_words > budget:
                 violations.append(("oversized", mid, out_words))
             elif peak > budget:
@@ -457,7 +473,6 @@ class Cluster:
         Returns the store the step sees and the (value, words) of every
         store key the deliveries wrote, from the sizes the deliveries carry.
         """
-        deliveries.sort(key=_BY_SENDER_KEY)
         delivered: dict[str, tuple] = {}
         for _, key, value, size in deliveries:
             if key.startswith(_BC):

@@ -9,7 +9,10 @@ inbox and machine 0's store, and the solution lives only in that store.
 
 Group sampling draws the s smallest of i.i.d. uniform keys per group via
 order statistics, which is exactly uniform-without-replacement within a
-group and independent across groups.
+group and independent across groups.  A vertex sampled into many groups
+ships the same neighbour (or label) list in each: a view's ``nbrs``
+closure builds each list once per step, and each candidate message is a
+``Payload`` its sender sizes from the list lengths.
 
 mis-simple and maximal clique run one phased loop over a view of the graph.
 The residual view (``_Residual``) is the alive graph: each machine keeps
@@ -24,6 +27,8 @@ view's pull and sweep.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .engine import (
     BUDGET_FACTOR,
@@ -59,12 +64,17 @@ def _order_stat_sample(rng, members: list, s: int) -> list:
 
 def _candidates(rng, members: list, gids, s_size: int, nbrs_of) -> list:
     """Messages to the central machine: for each group id, s_size members
-    sampled by order statistics, as (key, vertex, nbrs_of(vertex))."""
+    sampled by order statistics, as (key, vertex, nbrs_of(vertex)).
+
+    Each message is a Payload of (gid, cands), sized here to its words()
+    count in O(len(cands)): the gid's words (an int, or a tuple of ints)
+    and 2 + len(nbrs) per candidate."""
     out = []
     for gid in gids:
         cands = [(key, v, nbrs_of(v)) for key, v in _order_stat_sample(rng, members, s_size)]
         if cands:
-            out.append((0, "cand", (gid, cands)))
+            size = (len(gid) if type(gid) is tuple else 1) + sum(2 + len(nbrs) for _, _, nbrs in cands)
+            out.append((0, "cand", Payload((gid, cands), size)))
     return out
 
 
@@ -127,7 +137,8 @@ def _sampled_groups(inbox, s_size: int, thr_of):
     """The sampled groups in group order, each as its threshold
     ``thr_of(group id)`` and its s_size smallest-key candidates."""
     groups: dict = {}
-    for gid, cands in gather(inbox, "cand"):
+    for msg in gather(inbox, "cand"):
+        gid, cands = msg.value
         groups.setdefault(gid, []).extend(cands)
     for gid in sorted(groups):
         cands = sorted(groups[gid], key=lambda t: (t[0], t[1]))[:s_size]
@@ -208,8 +219,10 @@ class _Residual:
         return [v for v in sorted(store["alive"].value) if len(anbrs[v]) >= thr]
 
     def nbrs(self, store):
+        """v -> its sorted alive-neighbour tuple, built once per vertex for
+        the closure's life (one step: the store cannot change under it)."""
         anbrs = store["anbrs"].value
-        return lambda v: tuple(sorted(anbrs[v]))
+        return functools.cache(lambda v: tuple(sorted(anbrs[v])))
 
     def scan(self, store, groups):
         return groups
@@ -317,6 +330,8 @@ class _Complement:
         return [v for v, deg in self.degrees(store) if deg >= thr]
 
     def nbrs(self, store):
+        """v -> its complement neighbours' labels, built once per vertex for
+        the closure's life (one step: the store cannot change under it)."""
         adj = store["adj"].value
         actives = store["actives"].value
 
@@ -324,7 +339,7 @@ class _Complement:
             own = adj[v]
             return tuple(lab + 1 for lab, u in enumerate(actives) if u != v and u not in own)
 
-        return labels
+        return functools.cache(labels)
 
     def scan(self, store, groups):
         """Read the candidates' labels against machine 0's active list."""
@@ -466,9 +481,10 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
             if d:
                 by_class.setdefault(size_class(class_lo, classes, d), []).append(v)
         out = []
+        nbrs = _RESIDUAL.nbrs(store)
         for i, members in sorted(by_class.items()):
             gids = [(i, j) for j in range(group_counts[i])]
-            out.extend(_candidates(rng, members, gids, s_size, _RESIDUAL.nbrs(store)))
+            out.extend(_candidates(rng, members, gids, s_size, nbrs))
         return store, out
 
     def groups_of(inbox):

@@ -101,13 +101,19 @@ def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
     sign is tested once.  The memo is keyed on the object's id (hashing a
     Fraction costs more than building one) and holds the object, so no
     other object can take that id while the memo lives.
+
+    While the pairs u*n+v strictly increase, no edge can repeat, so the
+    set of seen pairs is built only at the first pair that does not: the
+    generators and canonical files, whose edges are in pair order, never
+    build it.
     """
     if n < 0:
         raise MalformedInstance("vertex count must be non-negative")
     ids = list(range(n))
     edges = []
     adjacency = [[] for _ in range(n)]
-    seen = set()
+    last = -1
+    seen = None
     memo = {}
     for eid, item in enumerate(edge_list):
         u, v, w = item
@@ -118,9 +124,14 @@ def make_graph(n: int, edge_list: Iterable[tuple]) -> Graph:
         if u > v:
             u, v = v, u
         pair = u * n + v
-        if pair in seen:
-            raise MalformedInstance(f"duplicate edge ({u}, {v})")
-        seen.add(pair)
+        if seen is None and pair > last:
+            last = pair
+        else:
+            if seen is None:
+                seen = {a * n + b for a, b, _ in edges}
+            if pair in seen:
+                raise MalformedInstance(f"duplicate edge ({u}, {v})")
+            seen.add(pair)
         hit = memo.get(id(w))
         if hit is None:
             hit = memo[id(w)] = (w, _freeze_weight(w))

@@ -634,6 +634,12 @@ def test_trace_json_shape(tmp_path):
     assert "series" in text
 
 
+def recount(value) -> int:
+    """A message's words counted from scratch: a Payload's from its value,
+    not from the size its sender declared."""
+    return words(value.value) if isinstance(value, Payload) else words(value)
+
+
 def deep_payload_audit(cluster):
     """Every cached word size must equal a from-scratch count: each
     Payload's, each machine's store total, each in-flight delivery's and
@@ -649,7 +655,7 @@ def deep_payload_audit(cluster):
         assert cluster._store_words[mid] == store_words(store)
     for box in cluster._deliveries:
         for _, _, value, size in box:
-            assert size == words(value)
+            assert size == recount(value)
     assert cluster._pending_words == in_flight_words(cluster)
 
 
@@ -657,7 +663,7 @@ def in_flight_words(cluster) -> list[int]:
     """Each machine's words on their way to it, counted from scratch over
     its plain messages and its engine deliveries."""
     return [
-        sum(words(v) for _, _, v in plain) + sum(words(v) for _, _, v, _ in delivered)
+        sum(recount(v) for _, _, v in plain) + sum(recount(v) for _, _, v, _ in delivered)
         for plain, delivered in zip(cluster._pending, cluster._deliveries)
     ]
 
@@ -674,7 +680,7 @@ def audit_every_round(monkeypatch):
         sent = [0] * cluster.machine_count
         for box in cluster._pending + cluster._deliveries:
             for sender, _, value, *_ in box:
-                sent[sender] += words(value)
+                sent[sender] += recount(value)
         assert record.words_received == tuple(received)
         assert record.words_sent == tuple(sent)
         deep_payload_audit(cluster)
@@ -703,3 +709,19 @@ def test_driver_payload_sizes_are_honest(audit_every_round):
     inst = generate_set_cover(10, 30, 0.2, (1, 9), seed=15)
     deep_payload_audit(approx_sc_f(inst, mu="1/5", seed=3).cluster)
     deep_payload_audit(approx_sc_lnDelta(inst, Fraction(1, 10), seed=3).cluster)
+
+
+@pytest.mark.parametrize("wave", [False, True])
+def test_audit_catches_a_misdeclared_message_size(wave, audit_every_round):
+    """A message whose Payload declares fewer words than it holds, sent
+    plain or as a delivery, fails the audit."""
+
+    def lying(mid, store, inbox, rng):
+        return store, ([(1, "agg:x" if wave else "x", Payload((1, 2, 3), 2))] if mid == 0 else [])
+
+    cl = Cluster(cfg(2))
+    with pytest.raises(AssertionError):
+        if wave:
+            cl._waves(lambda _: lying, 1, "lie")
+        else:
+            cl.run_round(lying, "lie")

@@ -1,10 +1,12 @@
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_graph
-from mpcgraph.engine import Cluster, RetriesExhausted, gather, gather_concat
-from mpcgraph.hungry import maximal_clique, mis_fast, mis_simple
+from mpcgraph.engine import Cluster, Payload, RetriesExhausted, gather, gather_concat, words
+from mpcgraph.hungry import _candidates, _Complement, _Residual, maximal_clique, mis_fast, mis_simple
 from mpcgraph.instances import generate_graph, make_graph
 from mpcgraph.oracles import is_maximal_clique, is_maximal_independent_set
 
@@ -167,7 +169,7 @@ def test_scans_see_only_alive_vertices(alg, c, monkeypatch):
         def checked_step(mid, store, inbox, rng):
             if mid == 0:
                 actives = store["actives"].value if "actives" in store else None
-                rows = [row[1:] for _, cands in gather(inbox, "cand") for row in cands]
+                rows = [row[1:] for msg in gather(inbox, "cand") for row in msg.value[1]]
                 for v, nbrs in rows + gather_concat(inbox, "pull"):
                     seen = [actives[lab - 1] for lab in nbrs] if actives is not None else list(nbrs)
                     assert dead.isdisjoint([v, *seen]), f"{label} read a dead vertex"
@@ -190,3 +192,37 @@ def test_scans_see_only_alive_vertices(alg, c, monkeypatch):
                 dead_of.clear()
             assert len(set(value)) == len(value)
     assert checked
+
+
+@st.composite
+def candidate_inputs(draw):
+    """A store for each view over n vertices (neighbour sets may be empty,
+    active lists may miss vertices), sampled members, and int or tuple
+    group ids."""
+    n = draw(st.integers(1, 10))
+    vertex_sets = st.frozensets(st.integers(0, n - 1), max_size=n)
+    sets = {v: draw(vertex_sets) - {v} for v in range(n)}
+    actives = tuple(sorted(draw(vertex_sets)))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    count = draw(st.integers(1, 4))
+    gids = range(count) if draw(st.booleans()) else [(draw(st.integers(0, 5)), j) for j in range(count)]
+    residual = {"anbrs": Payload(sets, 0)}
+    complement = {"adj": Payload(sets, 0), "actives": Payload(actives, len(actives))}
+    return members, list(gids), draw(st.integers(1, 4)), residual, complement, draw(st.integers(0, 2**32))
+
+
+@given(candidate_inputs())
+def test_candidate_sizes_equal_their_word_counts(case):
+    """Each candidate message declares exactly the words() count of its
+    (gid, cands), for neighbour tuples and complement label tuples alike;
+    one closure hands out one tuple per vertex."""
+    members, gids, s_size, residual, complement, seed = case
+    for view, store in ((_Residual(), residual), (_Complement(), complement)):
+        nbrs_of = view.nbrs(store)
+        msgs = _candidates(Random(seed), members, gids, s_size, nbrs_of)
+        assert [dst for dst, _, _ in msgs] == [0] * len(gids)
+        for _, key, msg in msgs:
+            assert key == "cand" and type(msg) is Payload
+            assert msg.word_size == words(msg.value)
+            for _, v, nbrs in msg.value[1]:
+                assert nbrs is nbrs_of(v)

@@ -505,6 +505,23 @@ def test_make_graph_matches_naive_reference(data):
     assert_same_graph(outcome(make_graph, n, triples), outcome(naive_graph, n, triples))
 
 
+@pytest.mark.parametrize(
+    "triples, fault",
+    [
+        ([(0, 1, 1), (0, 1, 2)], "duplicate edge (0, 1)"),
+        ([(0, 3, 1), (1, 2, 1), (3, 0, 1)], "duplicate edge (0, 3)"),
+        ([(2, 3, 1), (0, 1, 1), (0, 4, 1), (4, 0, 1)], "duplicate edge (0, 4)"),
+        ([(2, 3, 1), (0, 1, 1), (3, 4, 1), (1, 2, 1)], None),
+    ],
+)
+def test_make_graph_finds_duplicates_out_of_order(triples, fault):
+    """A repeated edge is found whether it is the first pair out of order or
+    comes after it, and pairs out of order alone are no fault."""
+    built = outcome(make_graph, 5, triples)
+    assert_same_graph(built, outcome(naive_graph, 5, triples))
+    assert built == (MalformedInstance, fault) if fault else isinstance(built, Graph)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_make_set_cover_matches_naive_reference(data):
@@ -591,8 +608,9 @@ def test_generate_set_cover_peak_memory():
 
 def test_read_graph_peak_memory(tmp_path):
     # The benchmark's dense graph (m = 44k), about 5 MiB itself.  The bound
-    # lies between this parse's 11.7 MiB and the 16.5 MiB of a parse that
-    # keeps a list of triples which the builder then copies.
+    # lies between this parse's 8.6 MiB and the 11.7 MiB of a parse whose
+    # builder keeps a set of every edge's pair to find duplicates (16.5 MiB
+    # if it also keeps a list of triples which the builder then copies).
     path = tmp_path / "dense.graph"
     write_graph(generate_graph(384, "4/5", (1, 10), seed=12), path)
-    assert traced_peak_mib(read_graph, path) < 14
+    assert traced_peak_mib(read_graph, path) < 10
