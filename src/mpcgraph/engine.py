@@ -307,7 +307,7 @@ class RoundRecord:
 # Key prefixes of the engine deliveries that broadcast and aggregate send.
 _BC = "bc:"
 _AGG = "agg:"
-_KEY = itemgetter(1)
+_KEY = itemgetter(1)  # of an outbox entry (dst, key, value)
 
 
 class Cluster:
