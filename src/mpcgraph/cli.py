@@ -2,7 +2,10 @@
 verify solutions against oracles, and sweep seeds into CSV.
 
 Exit codes: 0 success, 2 retries exhausted, 3 infeasible or malformed
-input.  Identical invocations produce byte-identical reports and traces.
+input.  Every option error is a usage error, and so malformed input:
+argparse parses and range-checks each numeric option (--mu >= 0,
+--epsilon > 0, --eta, --kappa, --b and --seeds >= 1, --retries >= 0).
+Identical invocations produce byte-identical reports and traces.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ B_MATCHING = Problem(
     _weight,
     _check_matching,
     lambda instance, aux: brute_force_max_matching(instance, aux)[0],
-    aux=lambda args: 1 if args.b is None else args.b,
+    aux=lambda args: args.b,
 )
 
 
@@ -190,7 +193,8 @@ class Algorithm:
     """One registered algorithm: its entry point ``module.entry``, looked up
     at call time so that a patched entry point is the one that runs; the
     keyword ``inputs(args, aux)`` it takes besides the instance and the
-    regime; and ``bound(instance, epsilon, b)``, its proven ratio and label.
+    regime (``args.mu``, ``c``, ``eta`` and ``retries``, and a seed); and
+    ``bound(instance, epsilon, b)``, its proven ratio and label.
     """
 
     summary: str
@@ -200,8 +204,9 @@ class Algorithm:
     inputs: Callable = lambda args, aux: {}
     bound: Callable | None = None
 
-    def run(self, instance, aux, args, common: dict):
-        return getattr(self.module, self.entry)(instance, **self.inputs(args, aux), **common)
+    def run(self, instance, aux, args, seed: int):
+        regime = dict(mu=args.mu, c=args.c, eta=args.eta, retry_cap=args.retries, seed=seed)
+        return getattr(self.module, self.entry)(instance, **self.inputs(args, aux), **regime)
 
 
 def _labelled(name: str, bound: Fraction) -> tuple[Fraction, str]:
@@ -261,47 +266,44 @@ ALGORITHMS = {
 }
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+def _number(parse: Callable, least=None, above=None) -> Callable[[str], object]:
+    """Type of a numeric option: ``parse(text)`` (int or Fraction), at
+    least ``least`` and greater than ``above`` where they are given."""
 
-
-def _count_arg(least: int) -> Callable[[str], int]:
-    """Type of an integer option that must be at least ``least``."""
-
-    def parse(text: str) -> int:
+    def number(text: str):
         try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+            value = parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not {'an integer' if parse is int else 'a rational'}: {text!r}") from exc
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
+        if above is not None and value <= above:
+            raise argparse.ArgumentTypeError(f"must be > {above}, got {text!r}")
         return value
 
-    return parse
+    return number
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 3, as malformed input: exit 2 means retries
-    exhausted."""
+    """A usage error is malformed input: ``main`` returns 3 for it (exit 2
+    means retries exhausted)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
+        raise MalformedInstance(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="mpcgraph", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    rational, count, positive = _number(Fraction), _number(int, least=1), _number(Fraction, above=0)
 
     g = sub.add_parser("generate", help="generate a random instance file")
     g.add_argument("kind", choices=["graph", "setcover"])
     g.add_argument("out", help="output path")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, help="ground-set size (setcover)")
-    g.add_argument("--c", type=_fraction_arg, default=Fraction(0), help="edge-count exponent (graph)")
+    g.add_argument("--c", type=rational, default=Fraction(0), help="edge-count exponent (graph)")
     g.add_argument("--density", type=float, default=0.3, help="membership density (setcover)")
     g.add_argument("--w-lo", type=int, default=1)
     g.add_argument("--w-hi", type=int, default=10)
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("instance", nargs="?")
     r.add_argument("--list", action="store_true", help="list algorithms and bounds")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--kappa", type=_count_arg(1), default=None)
+    r.add_argument("--kappa", type=count, default=None)
     r.add_argument("--trace", default=None, help="write the trace JSON here")
     r.add_argument("--out", default=None, help="write the solution file here")
     r.add_argument("--oracle", action="store_true", help="add brute-force OPT and ratio to the report")
@@ -322,55 +324,31 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("solution")
     v.add_argument("--algorithm", choices=sorted(ALGORITHMS), required=True)
     v.add_argument("--against-oracle", action="store_true")
-    v.add_argument("--epsilon", type=str, default="1/10")
-    v.add_argument("--b", type=int, default=1)
+    v.add_argument("--epsilon", type=positive, default=Fraction(1, 10))
     for weighted in (r, v):
         weighted.add_argument("--vertex-weights", default=None, help="file with one rational per line (vc-2)")
 
     b = sub.add_parser("bench", help="seed sweep, CSV on stdout")
     b.add_argument("algorithm", choices=sorted(ALGORITHMS))
     b.add_argument("instance")
-    b.add_argument("--seeds", type=int, default=10)
+    b.add_argument("--seeds", type=count, default=10)
     b.set_defaults(kappa=None, vertex_weights=None)
 
     for regime in (r, b):
-        regime.add_argument("--mu", type=str, default="1/5")
-        regime.add_argument("--c", type=str, default=None)
-        regime.add_argument("--eta", type=_count_arg(1), default=None)
-        regime.add_argument("--epsilon", type=str, default=None)
-        regime.add_argument("--b", type=int, default=None)
-        regime.add_argument("--retries", type=_count_arg(0), default=3)
+        regime.add_argument("--mu", type=_number(Fraction, least=0), default=Fraction(1, 5))
+        regime.add_argument("--c", type=rational, default=None)
+        regime.add_argument("--eta", type=count, default=None)
+        regime.add_argument("--epsilon", type=positive, default=None)
+        regime.add_argument("--retries", type=_number(int, least=0), default=3)
+    for capped in (r, v, b):
+        capped.add_argument("--b", type=count, default=1)
     return p
-
-
-def _rational(text: str, flag: str) -> Fraction:
-    """Parse a rational option value; a bad one is malformed input (exit 3)."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInstance(f"{flag} must be a rational, got {text!r}") from exc
-
-
-def _common(args) -> dict:
-    """The regime keywords every algorithm takes, apart from the seed."""
-    mu = _rational(args.mu, "--mu")
-    if mu < 0:
-        raise MalformedInstance(f"--mu must be >= 0, got {args.mu!r}")
-    common = dict(mu=mu, retry_cap=args.retries)
-    if args.c is not None:
-        common["c"] = _rational(args.c, "--c")
-    if args.eta is not None:
-        common["eta"] = args.eta
-    return common
 
 
 def _epsilon(args, algorithm: str) -> Fraction:
     if args.epsilon is None:
         raise MalformedInstance(f"--epsilon is required for {algorithm}")
-    epsilon = _rational(args.epsilon, "--epsilon")
-    if epsilon <= 0:
-        raise MalformedInstance(f"--epsilon must be > 0, got {args.epsilon!r}")
-    return epsilon
+    return args.epsilon
 
 
 def _vertex_weights(path):
@@ -387,7 +365,7 @@ def _load_instance(problem: Problem, path: str):
         return (read_graph if problem.graph_input else read_set_cover)(path)
 
 
-def solution_to_text(algorithm: str, value, instance, aux) -> str:
+def solution_to_text(algorithm: str, value, instance) -> str:
     lines = [ALGORITHMS[algorithm].problem.kind]
     if isinstance(value, Matching):
         lines.append(f"weight {frac_str(value.weight(instance))}")
@@ -428,10 +406,9 @@ def cmd_run(args) -> int:
     instance = _load_instance(problem, args.instance)
     with open(args.instance, "r", encoding="ascii") as fh:
         inst_digest = digest(fh.read())
-    common = {**_common(args), "seed": args.seed}
     aux = problem.aux(args)
     try:
-        result = spec.run(instance, aux, args, common)
+        result = spec.run(instance, aux, args, args.seed)
     except RetriesExhausted as exc:
         report = {
             "algorithm": args.algorithm,
@@ -468,7 +445,7 @@ def cmd_run(args) -> int:
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(solution_to_text(args.algorithm, result.value, instance, aux))
+            fh.write(solution_to_text(args.algorithm, result.value, instance))
     if args.trace:
         dump_trace(result, result.cluster.config, args.trace)
     return 0
@@ -485,7 +462,6 @@ def cmd_verify(args) -> int:
     if head[: len(kind)] != kind or len(head) != len(kind) + problem.counted:
         header = problem.kind + " <count>" * problem.counted
         raise MalformedInstance(f"{args.algorithm} solution files start with the line {header!r}")
-    epsilon = _rational(args.epsilon, "--epsilon")
     aux = problem.aux(args)
     with malformed_numbers(args.solution):
         report = problem.check(instance, rows, aux)
@@ -502,7 +478,7 @@ def cmd_verify(args) -> int:
         if opt is None:
             print("no oracle for this algorithm; validity-only verdict")
             return 0
-        bound, bound_label = spec.bound(instance, epsilon, args.b)
+        bound, bound_label = spec.bound(instance, args.epsilon, args.b)
         ratio = problem.ratio(Fraction(report.objective), opt)
         if ratio is None and opt == 0:
             ratio = Fraction(0)
@@ -524,7 +500,6 @@ def cmd_bench(args) -> int:
     problem = spec.problem
     instance = _load_instance(problem, args.instance)
     aux = problem.aux(args)
-    common = _common(args)
     try:
         opt = problem.oracle(instance, aux)
     except TooLarge:
@@ -533,7 +508,7 @@ def cmd_bench(args) -> int:
     code = 0
     for seed in range(args.seeds):
         try:
-            result = spec.run(instance, aux, args, {**common, "seed": seed})
+            result = spec.run(instance, aux, args, seed)
         except RetriesExhausted:
             print(f"{seed},,,retries-exhausted,")
             code = 2
@@ -546,9 +521,8 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "run":

@@ -243,13 +243,12 @@ class ClusterConfig:
 def cluster_config(
     n: int,
     items: int,
-    budget: Callable[[ClusterConfig], int] | None,
+    budget: Callable[[ClusterConfig], int],
     *,
     mu="1/5",
     c=None,
     seed: int = 0,
     eta: int | None = None,
-    memory_budget_words: int | None = None,
     retry_cap: int = 3,
 ) -> ClusterConfig:
     """The regime of one algorithm's cluster.
@@ -257,7 +256,7 @@ def cluster_config(
     ``n`` is the algorithm's scale parameter and ``items`` the number of
     input items it shards eta to a machine.  machine_count = ceil(items/eta)
     (at least 1) and fanout = ceil(n^mu) (at least 2).  eta defaults to
-    floor(n^(1+mu)), and the memory budget to ``budget(config)``, the
+    floor(n^(1+mu)), and the memory budget is ``budget(config)``, the
     algorithm's formula evaluated on the finished config.
     """
     mu = as_fraction(mu)
@@ -269,14 +268,12 @@ def cluster_config(
         c=None if c is None else as_fraction(c),
         eta=eta,
         machine_count=max(1, -(-items // max(1, eta))),
-        memory_budget_words=1 if memory_budget_words is None else memory_budget_words,
+        memory_budget_words=1,
         fanout=max(2, ipow_ceil(n, mu)),
         seed=seed,
         retry_cap=retry_cap,
     )
-    if memory_budget_words is None:
-        config = replace(config, memory_budget_words=budget(config))
-    return config
+    return replace(config, memory_budget_words=budget(config))
 
 
 @dataclass
@@ -400,7 +397,7 @@ class Cluster:
         sent = [0] * m
         peaks = [0] * m
         messages = 0
-        violations: list[tuple[str, int, int]] = []
+        fault: EngineFailure | None = None
         for mid in range(m):
             outbox, outboxes[mid] = outboxes[mid], ()
             if len(outbox) > 1 and len(set(map(_KEY, outbox))) > 1:
@@ -428,10 +425,10 @@ class Cluster:
             sent[mid] = out_words
             peak = max(self._store_words[mid] + received[mid], new_words[mid] + out_words)
             peaks[mid] = peak
-            if out_words > budget:
-                violations.append(("oversized", mid, out_words))
-            elif peak > budget:
-                violations.append(("memory", mid, peak))
+            if out_words > budget and fault is None:
+                fault = OversizedMessage(mid, out_words, f"outbox in round {idx} ({label})")
+            elif peak > budget and fault is None:
+                fault = MemoryExceeded(mid, peak, f"peak in round {idx} ({label})")
 
         self.stores = new_stores
         self._store_words = new_words
@@ -444,12 +441,12 @@ class Cluster:
             peak_words=tuple(peaks),
         )
         self.rounds.append(record)
-        if violations:
-            kind, mid, w = violations[0]
-            record.failure = f"{'OversizedMessage' if kind == 'oversized' else 'MemoryExceeded'}(machine={mid}, words={w})"
-            if kind == "oversized":
-                raise OversizedMessage(mid, w, f"outbox in round {idx} ({label})")
-            raise MemoryExceeded(mid, w, f"peak in round {idx} ({label})")
+        if fault is not None:
+            record.failure = f"{type(fault).__name__}(machine={fault.machine}, words={fault.words})"
+            try:
+                raise fault
+            finally:
+                fault = None  # the traceback keeps this frame: no cycle back to the fault
         return record
 
     def _sized(self, mid: int, store: dict) -> int:

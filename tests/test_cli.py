@@ -4,6 +4,7 @@ import re
 import pytest
 
 from mpcgraph import cli
+from mpcgraph.engine import RetriesExhausted
 from mpcgraph.instances import digest, read_graph, read_set_cover
 
 
@@ -224,27 +225,58 @@ def test_eta_zero_is_rejected(tmp_path, capsys, alg):
     path = tmp_path / "in"
     kind = ["setcover", "--m", "6", "--density", "0.5"] if alg in ("sc-f", "sc-lnD") else ["graph", "--c", "1/3"]
     run_cli(capsys, "generate", kind[0], str(path), "--n", "6", *kind[1:], "--seed", "1")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", alg, str(path), "--eta", "0", "--epsilon", "1/10"])
-    assert exc.value.code == 3 and "--eta" in capsys.readouterr().err
+    assert cli.main(["run", alg, str(path), "--eta", "0", "--epsilon", "1/10"]) == 3
+    assert "--eta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv,flag",
-    [
-        (["run", "colour-v", "g", "--kappa", "0"], "--kappa"),
-        (["run", "match-2", "g", "--retries", "-1"], "--retries"),
-        (["bench", "match-2", "g", "--eta", "0"], "--eta"),
-        (["bench", "match-2", "g", "--retries", "-1"], "--retries"),
-        (["run", "match-2", "g", "--seed", "abc"], "--seed"),
-        (["generate", "graph", "g", "--n", "4", "--c", "abc"], "--c"),
-    ],
-)
-def test_usage_errors_exit_3(capsys, argv, flag):
-    # Exit 2 is reserved for retries exhausted.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 3 and flag in capsys.readouterr().err
+COMMANDS = {
+    "generate": ["generate", "graph", "g", "--n", "4"],
+    "run": ["run", "match-2", "g"],
+    "bench": ["bench", "match-2", "g"],
+    "verify": ["verify", "g", "s", "--algorithm", "match-2"],
+}
+# Each numeric option argparse types, the subcommands that take it, and a
+# value that does not parse and one out of range (--c has no range).
+BAD_VALUES = [
+    ("--mu", ("run", "bench"), ("abc", "-1/5")),
+    ("--epsilon", ("run", "bench", "verify"), ("x", "0")),
+    ("--eta", ("run", "bench"), ("2.5", "0")),
+    ("--kappa", ("run",), ("k", "0")),
+    ("--b", ("run", "bench", "verify"), ("1/2", "0")),
+    ("--retries", ("run", "bench"), ("many", "-1")),
+    ("--seeds", ("bench",), ("ten", "0")),
+    ("--c", ("generate", "run", "bench"), ("1/0",)),
+]
+# Hand-picked cases, under the ids they are known by (argv<i>-<flag>).
+USAGE_ERRORS = [
+    pytest.param(argv, flag, argv[-1], id=f"argv{i}-{flag}")
+    for i, (argv, flag) in enumerate(
+        [
+            (["run", "colour-v", "g", "--kappa", "0"], "--kappa"),
+            (["run", "match-2", "g", "--retries", "-1"], "--retries"),
+            (["bench", "match-2", "g", "--eta", "0"], "--eta"),
+            (["bench", "match-2", "g", "--retries", "-1"], "--retries"),
+            (["run", "match-2", "g", "--seed", "abc"], "--seed"),
+            (["generate", "graph", "g", "--n", "4", "--c", "abc"], "--c"),
+        ]
+    )
+]
+USAGE_ERRORS += [
+    pytest.param(COMMANDS[cmd] + [f"{flag}={value}"], flag, value, id=f"{cmd}-{flag}={value}")
+    for flag, cmds, values in BAD_VALUES
+    for cmd in cmds
+    for value in values
+]
+USAGE_ERRORS.append(pytest.param(COMMANDS["bench"] + ["--bogus"], "--bogus", "--bogus", id="bench-unknown-flag"))
+
+
+@pytest.mark.parametrize("argv,flag,value", USAGE_ERRORS)
+def test_usage_errors_exit_3(capsys, argv, flag, value):
+    # Exit 2 is reserved for retries exhausted.  The flag=value form lets a
+    # value start with "-".
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err and value in captured.err
 
 
 def test_help_exits_0(capsys):
@@ -300,7 +332,6 @@ def test_unreadable_input_exit_code(tmp_path, capsys, case):
 def test_retries_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     sc = tmp_path / "i.sc"
     run_cli(capsys, "generate", "setcover", str(sc), "--n", "8", "--m", "60", "--density", "0.4", "--seed", "2")
-    from mpcgraph.engine import RetriesExhausted
     import mpcgraph.rlr_setcover as rsc
 
     # library-level: an impossible regime exhausts the retry cap
@@ -341,6 +372,25 @@ def test_bench_csv(tmp_path, capsys):
     assert len(lines) == 4
     for ln in lines[1:]:
         assert len(ln.split(",")) == 5
+
+
+def test_bench_survives_one_exhausted_seed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.graph"
+    run_cli(capsys, "generate", "graph", str(path), "--n", "7", "--c", "1/3", "--seed", "6")
+    code, intact = run_cli(capsys, "bench", "match-2", str(path), "--seeds", "3")
+    assert code == 0
+    entry = cli.rm.approx_max_matching
+
+    def exhausted_at_seed_1(graph, **kw):
+        if kw["seed"] == 1:
+            raise RetriesExhausted([])
+        return entry(graph, **kw)
+
+    monkeypatch.setattr(cli.rm, "approx_max_matching", exhausted_at_seed_1)
+    code, out = run_cli(capsys, "bench", "match-2", str(path), "--seeds", "3")
+    rows = intact.splitlines()
+    rows[2] = "1,,,retries-exhausted,"
+    assert code == 2 and out.splitlines() == rows
 
 
 def test_bench_checks_the_regime_before_the_header(tmp_path, capsys):

@@ -585,7 +585,9 @@ def test_run_with_retries_restores_gc_state(collecting, failures):
     assert states == [False] * min(failures + 1, 3)
 
 
-RUN_ARGS = SimpleNamespace(epsilon="1/10", b=2, kappa=None, vertex_weights=None)
+RUN_ARGS = SimpleNamespace(
+    mu=Fraction(1, 5), c=None, eta=None, retries=3, epsilon=Fraction(1, 10), b=2, kappa=None, vertex_weights=None
+)
 
 
 @pytest.mark.parametrize("failure", [None, "fail", "memory"])
@@ -613,7 +615,7 @@ def test_runs_leave_no_cyclic_garbage(name, failure, monkeypatch):
     if failure:
         monkeypatch.setattr(Cluster, "run_round", failing)
     gc.collect()
-    result = spec.run(instance, spec.problem.aux(RUN_ARGS), RUN_ARGS, {"mu": Fraction(1, 5), "seed": 3})
+    result = spec.run(instance, spec.problem.aux(RUN_ARGS), RUN_ARGS, 3)
     assert len(result.attempts) == (2 if failure else 1)
     del result
     assert gc.collect() == 0

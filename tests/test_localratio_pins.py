@@ -18,6 +18,7 @@ from random import Random
 
 import pytest
 
+from mpcgraph import rlr_matching
 from mpcgraph.colouring import edge_colouring
 from mpcgraph.instances import generate_graph, make_graph
 from mpcgraph.oracles import misra_gries_edge_colouring_seq
@@ -26,11 +27,11 @@ from mpcgraph.rlr_matching import approx_b_matching
 EPSILONS = ("1/10", "1/3", "3/2")
 # branch -> (vertices, most edges, run options).  eta=2 and mu=1/10 put
 # |E| above the full-branch threshold and the per-vertex sample caps below
-# the degrees, so the first iteration runs rng.sample; the budget is
+# the degrees, so the first iteration runs rng.sample; the budget factor is
 # lifted so that the tiny eta does not fail the attempts.
 BRANCHES = {
     "full": ((6, 16), 40, {}),
-    "sampled": ((18, 26), 150, {"eta": 2, "mu": "1/10", "memory_budget_words": 10**6}),
+    "sampled": ((18, 26), 150, {"eta": 2, "mu": "1/10"}),
 }
 
 BMATCH_PINS = {
@@ -66,8 +67,10 @@ def _fractional_graph(rng: Random, n: int, max_edges: int):
 
 
 @pytest.mark.parametrize("eps,branch", sorted(BMATCH_PINS))
-def test_bmatching_push_order_and_matching_pinned(eps, branch):
+def test_bmatching_push_order_and_matching_pinned(eps, branch, monkeypatch):
     (n_lo, n_hi), max_edges, options = BRANCHES[branch]
+    if options:
+        monkeypatch.setattr(rlr_matching, "BUDGET_FACTOR", 10**6)
     rng = Random(EPSILONS.index(eps) * 10 + sorted(BRANCHES).index(branch))
     outputs = []
     for _ in range(3):

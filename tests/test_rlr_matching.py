@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from references import push_best_by_fraction_sort
+from mpcgraph import rlr_matching
 from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
@@ -198,7 +199,7 @@ def test_bmatching_ratio_sweep():
             assert res.value.weight(g) * bound >= opt
 
 
-def test_bmatching_replay():
+def test_bmatching_replay(monkeypatch):
     rng = Random(63)
     for _ in range(10):
         g = random_graph(rng, rng.randint(3, 8), 12)
@@ -209,12 +210,13 @@ def test_bmatching_replay():
         assert replay.edge_ids == res.value.edge_ids
     # Fractional weights and per-vertex capacities, in the full branch and
     # (eta=2, with the budget lifted) the sampled one.
+    monkeypatch.setattr(rlr_matching, "BUDGET_FACTOR", 10**6)
     for trial in range(12):
         g = random_graph(rng, rng.randint(3, 12), 30)
         g = make_graph(g.n, [(u, v, w / rng.randint(2, 7)) for u, v, w in g.edges])
         caps = [rng.choice([1, 2, 3]) for _ in range(g.n)]
         eps = rng.choice([Fraction(1, 10), Fraction(1, 3), Fraction(3, 2)])
-        sampled = {"eta": 2, "mu": "1/10", "memory_budget_words": 10**6} if trial % 2 else {}
+        sampled = {"eta": 2, "mu": "1/10"} if trial % 2 else {}
         res = approx_b_matching(g, caps, eps, seed=rng.randint(0, 99), **sampled)
         replay = lr_bmatching_seq(g, caps, eps, res.extras["push_order"])
         assert replay.edge_ids == res.value.edge_ids
