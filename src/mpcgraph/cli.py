@@ -447,7 +447,7 @@ def cmd_run(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(solution_to_text(args.algorithm, result.value, instance))
     if args.trace:
-        dump_trace(result, result.cluster.config, args.trace)
+        dump_trace(result, args.trace)
     return 0
 
 

@@ -225,10 +225,3 @@ def _edge_attempt(graph: Graph, kappa: int, cap: int, cluster: Cluster):
     cluster.run_round(colour_step, label="ecolour:mg")
     return _merged_colouring(cluster, "edge", graph.m, kappa, counts)
 
-
-def whp_colour_bound(n: int, mu: Fraction, max_degree: int) -> float:
-    """Numeric value of (1 + n^(-mu/2) sqrt(6 ln n) + n^(-mu)) * Delta."""
-    if n < 2:
-        return float(max_degree + 1)
-    fmu = float(Fraction(mu))
-    return (1 + n ** (-fmu / 2) * math.sqrt(6 * math.log(n)) + n ** (-fmu)) * max_degree

@@ -170,11 +170,6 @@ def central(step: Callable) -> Callable:
     return on_central
 
 
-def store_words(store: dict) -> int:
-    # Top-level keys are labels, not data.
-    return sum(words(v) for v in store.values())
-
-
 def derive_seed(seed: int, round_index: int, machine_id: int) -> int:
     blob = f"{seed}:{round_index}:{machine_id}".encode("ascii")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
@@ -540,8 +535,6 @@ class Cluster:
         plus in-flight inbox) when this returns.
         """
         m = self.config.machine_count
-        if m == 1:
-            return self.stores[0][key], 0
         k = self.config.fanout
         depth = log_ceil(m, k)
 
@@ -617,10 +610,10 @@ class RunResult:
     def total_rounds(self) -> int:
         return self.cluster.total_rounds()
 
-    def trace_dict(self, config: ClusterConfig) -> dict:
+    def trace_dict(self) -> dict:
         return {
             "schema": 1,
-            "config": config.to_dict(),
+            "config": self.cluster.config.to_dict(),
             "attempts": [vars(a) for a in self.attempts],
             "total_rounds": self.total_rounds,
             "peak_words": self.cluster.peak_words(),
@@ -663,7 +656,7 @@ def run_with_retries(config: ClusterConfig, attempt: Callable) -> RunResult:
     raise RetriesExhausted(attempts)
 
 
-def dump_trace(result: RunResult, config: ClusterConfig, path) -> None:
+def dump_trace(result: RunResult, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(result.trace_dict(config), fh, sort_keys=True, indent=1)
+        json.dump(result.trace_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")

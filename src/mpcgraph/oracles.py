@@ -1,9 +1,12 @@
-"""Single-machine reference algorithms and exhaustive brute-force optima.
+"""The central steps' kernels, the approximation bounds and exact optima.
 
-The local-ratio bookkeeping classes here (`CoverReduction`,
-`MatchingReduction`) are shared with the cluster algorithms: the central
-machine of each distributed run drives exactly this state, which is what
-makes the stack-replay cross-checks exact.
+`CoverReduction` and `MatchingReduction` are the local-ratio state the
+central machine of sc-f, vc-2, match-2 and bmatch drives, and
+`misra_gries_edge_colouring_seq` colours each colour-e group.  The
+brute-force optima and the MIS/clique predicates back the CLI's oracle
+checks.  The sequential references that tests replay each run's push
+order through are in ``tests/references.py``; they keep their own
+residuals and phi, so a replay compares two independent implementations.
 """
 
 from __future__ import annotations
@@ -12,17 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactmath import harmonic
-from .instances import (
-    Colouring,
-    Cover,
-    Graph,
-    Matching,
-    SetCoverInstance,
-    TooLarge,
-    Uncoverable,
-    _vertex_capacities,
-    make_matching,
-)
+from .instances import Colouring, Graph, SetCoverInstance, TooLarge, Uncoverable, _vertex_capacities
 
 
 class CoverReduction:
@@ -57,28 +50,18 @@ class MatchingReduction:
 
     The modified weight of a never-pushed edge {u, v} is exactly
     ``w - phi[u] - phi[v]``.  With capacities the reduction splits as
-    ``phi[u] += gain/b(u)``; a pushed edge is dead by fiat.
+    ``phi[u] += gain/b(u)``; a pushed edge is dead by fiat.  Callers test
+    aliveness themselves (see ``rlr_matching._heavy_test``).
     """
 
-    def __init__(self, n: int, caps: Sequence[int] | None = None, epsilon: Fraction = Fraction(0)):
+    def __init__(self, n: int, caps: Sequence[int] | None = None):
         self.phi = [0] * n
         self.caps = list(caps) if caps is not None else None
-        self.epsilon = Fraction(epsilon)
         self.stack: list[tuple[int, int, int, Fraction]] = []
         self.pushed: set[int] = set()
 
-    def gain(self, u: int, v: int, w) -> Fraction:
-        return w - self.phi[u] - self.phi[v]
-
-    def alive(self, eid: int, u: int, v: int, w) -> bool:
-        if eid in self.pushed:
-            return False
-        if self.caps is None:
-            return self.gain(u, v, w) > 0
-        return w > (1 + self.epsilon) * (self.phi[u] + self.phi[v])
-
     def push(self, eid: int, u: int, v: int, w) -> None:
-        g = self.gain(u, v, w)
+        g = w - self.phi[u] - self.phi[v]
         if g <= 0:
             raise ValueError("pushing an edge with non-positive modified weight")
         self.record(eid, u, v, g)
@@ -94,8 +77,9 @@ class MatchingReduction:
         self.stack.append((eid, u, v, g))
         self.pushed.add(eid)
 
-    def unwind(self, n: int) -> list[int]:
+    def unwind(self) -> list[int]:
         """LIFO unwind, adding each edge iff both endpoints have spare load."""
+        n = len(self.phi)
         caps = self.caps if self.caps is not None else [1] * n
         loads = [0] * n
         picked = []
@@ -107,112 +91,9 @@ class MatchingReduction:
         return picked
 
 
-def lr_set_cover_seq(instance: SetCoverInstance, element_order: Iterable[int] | None = None) -> Cover:
-    """Sequential local ratio for weighted set cover (f-approximation).
-
-    Scans elements in the given order (default ascending); for each element
-    whose covering sets all have positive residual, subtracts the minimum
-    covering residual from all of them.  Returns the zero-residual sets.
-    """
-    instance.check_coverable()
-    if element_order is None:
-        element_order = range(instance.m)
-    red = CoverReduction(instance.weights)
-    for j in element_order:
-        red.process_element(instance.dual[j])
-    zero = tuple(i for i, r in enumerate(red.residual) if r == 0)
-    return Cover(set_ids=zero)
-
-
-def lr_matching_seq(graph: Graph, edge_order: Iterable[int] | None = None) -> Matching:
-    """Sequential local ratio for max-weight matching (2-approximation).
-
-    Pushes each edge of the order whose modified weight is strictly
-    positive, then unwinds the stack greedily.  With a complete order the
-    result is at least half the optimum, for every order.
-    """
-    if edge_order is None:
-        edge_order = range(graph.m)
-    red = MatchingReduction(graph.n)
-    for eid in edge_order:
-        u, v, w = graph.edges[eid]
-        if red.alive(eid, u, v, w):
-            red.push(eid, u, v, w)
-    return make_matching(graph, red.unwind(graph.n))
-
-
-def lr_bmatching_seq(
-    graph: Graph, b, epsilon, edge_order: Iterable[int] | None = None
-) -> Matching:
-    """Sequential epsilon-adjusted local ratio for max-weight b-matching.
-
-    An edge stays alive while w > (1+eps)(phi(u)+phi(v)); a pick adds
-    gain/b(u) and gain/b(v) to the endpoint accumulators.  The unwind
-    respects the per-vertex capacities.
-    """
-    caps = _vertex_capacities(graph.n, b)
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if edge_order is None:
-        edge_order = range(graph.m)
-    red = MatchingReduction(graph.n, caps, epsilon)
-    for eid in edge_order:
-        u, v, w = graph.edges[eid]
-        if red.alive(eid, u, v, w):
-            red.push(eid, u, v, w)
-    return make_matching(graph, red.unwind(graph.n), caps)
-
-
-def eps_greedy_set_cover_seq(instance: SetCoverInstance, epsilon) -> Cover:
-    """Greedy set cover accepting any (1+eps)-near-best cost ratio.
-
-    Repeatedly adds the lowest-indexed set whose uncovered-per-weight ratio
-    is within (1+eps) of the best.  Gives a (1+eps)H_Delta approximation.
-    """
-    instance.check_coverable()
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    uncovered = [set(s) for s in instance.sets]
-    covered: set[int] = set()
-    chosen: list[int] = []
-    while len(covered) < instance.m:
-        best = Fraction(0)
-        for i in range(instance.n):
-            r = Fraction(len(uncovered[i]), 1) / instance.weights[i]
-            if r > best:
-                best = r
-        threshold = best / (1 + epsilon)
-        pick = None
-        for i in range(instance.n):
-            if Fraction(len(uncovered[i]), 1) / instance.weights[i] >= threshold:
-                pick = i
-                break
-        newly = uncovered[pick]
-        covered |= newly
-        chosen.append(pick)
-        for i in range(instance.n):
-            if uncovered[i]:
-                uncovered[i] -= newly
-    return Cover(set_ids=tuple(sorted(chosen)))
-
-
 def eps_greedy_bound(instance: SetCoverInstance, epsilon) -> Fraction:
     """(1+eps) * H_Delta, the guarantee of the epsilon-greedy algorithm."""
     return (1 + Fraction(epsilon)) * harmonic(instance.max_set_size)
-
-
-def greedy_vertex_colouring_seq(graph: Graph) -> Colouring:
-    """First-fit colouring in vertex-id order; uses at most Delta+1 colours."""
-    colours = [0] * graph.n
-    for v in range(graph.n):
-        taken = {colours[u] for u in graph.neighbours(v) if colours[u]}
-        c = 1
-        while c in taken:
-            c += 1
-        colours[v] = c
-    return Colouring(kind="vertex", groups=(0,) * graph.n, colours=tuple(colours))
 
 
 def misra_gries_edge_colouring_seq(graph: Graph) -> Colouring:

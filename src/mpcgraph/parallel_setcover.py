@@ -69,25 +69,6 @@ def _psc_budget(instance: SetCoverInstance):
     return budget
 
 
-def potential_phi(instance: SetCoverInstance, covered, threshold: Fraction, epsilon) -> int:
-    """Total uncovered mass of sets whose cost ratio still clears
-    threshold/(1+eps); the bucket-progress potential.
-
-    It recounts from scratch in plain ``Fraction`` arithmetic, apart from
-    the machines' integer cross-multiplied tests, so that it stays an
-    independent check of the phi the run tracks.
-    """
-    epsilon = Fraction(epsilon)
-    cset = set(covered)
-    cut = Fraction(threshold) / (1 + epsilon)
-    total = 0
-    for elems, w in zip(instance.sets, instance.weights):
-        size = sum(1 for e in elems if e not in cset)
-        if size and Fraction(size) / w >= cut:
-            total += size
-    return total
-
-
 def approx_sc_lnDelta(instance: SetCoverInstance, epsilon, **kw) -> RunResult:
     """(1+eps) H_Delta-approximate minimum weight set cover.
 

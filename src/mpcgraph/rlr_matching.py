@@ -198,7 +198,7 @@ def _unwind_round(cluster: Cluster, n: int, caps: list[int] | None, tag: str) ->
     def unwind_step(store, inbox):
         red = MatchingReduction(n, caps)
         red.stack.extend(store["stack"].value)
-        return {**store, "matching": tuple(sorted(red.unwind(n)))}, []
+        return {**store, "matching": tuple(sorted(red.unwind()))}, []
 
     cluster.run_round(unwind_step, label=f"{tag}:unwind")
     return cluster.stores[0]["matching"]
@@ -294,7 +294,7 @@ def _bmatching_attempt(graph: Graph, intw: list[int], caps: list[int], epsilon: 
 
         @central
         def central_step(store, inbox):
-            red = _replayed(MatchingReduction(n, caps, epsilon), store["stack"].value)
+            red = _replayed(MatchingReduction(n, caps), store["stack"].value)
             lists = dict(gather(inbox, "Ev"))
             pushes = []
             for v in sorted(lists):

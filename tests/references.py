@@ -1,15 +1,206 @@
-"""Plain reference versions of two hot kernels, kept for differential tests.
+"""Sequential references the tests check the package against.
 
-``misra_gries_by_dict_scan`` keeps only a colour -> edge dict per vertex
-and finds every free colour and fan step by scanning it;
-``push_best_by_fraction_sort`` ranks one vertex's candidates on Fraction
-gains.  The package's kernels must return exactly what these return.
+None of these runs in a CLI command.  The local-ratio references
+(``lr_set_cover_seq``, ``lr_matching_seq``, ``lr_bmatching_seq``) keep
+their own residuals, or their own phi, stack and LIFO unwind, in plain
+``Fraction`` arithmetic, and test aliveness as the paper states it, so
+replaying a run's push order through them compares two independent
+implementations.  ``misra_gries_by_dict_scan`` keeps only a colour ->
+edge dict per vertex and finds every free colour and fan step by
+scanning it; ``push_best_by_fraction_sort`` ranks one vertex's
+candidates on Fraction gains.  The package's kernels must return
+exactly what these return.
 """
 
 from __future__ import annotations
 
-from mpcgraph.instances import Colouring, Graph
+import math
+from fractions import Fraction
+from typing import Iterable
+
+from mpcgraph.engine import words
+from mpcgraph.instances import (
+    Colouring,
+    Cover,
+    Graph,
+    Matching,
+    SetCoverInstance,
+    _vertex_capacities,
+    make_matching,
+)
 from mpcgraph.oracles import MatchingReduction
+
+
+# ---------------------------------------------------------------------------
+# Local ratio
+
+
+def lr_set_cover_seq(instance: SetCoverInstance, element_order: Iterable[int] | None = None) -> Cover:
+    """Sequential local ratio for weighted set cover (f-approximation).
+
+    Scans elements in the given order (default ascending).  An element
+    whose covering sets all have residual > 0 lowers each of their
+    residuals by the least of them.  Returns the sets at residual 0.
+    """
+    instance.check_coverable()
+    residual = list(instance.weights)
+    for j in range(instance.m) if element_order is None else element_order:
+        covering = instance.dual[j]
+        if all(residual[i] > 0 for i in covering):
+            least = min(residual[i] for i in covering)
+            for i in covering:
+                residual[i] -= least
+    return Cover(set_ids=tuple(i for i, r in enumerate(residual) if r == 0))
+
+
+def _lifo_unwind(graph: Graph, stack: list[int], caps: list[int]) -> list[int]:
+    """The stack read newest first, keeping each edge whose endpoints both
+    have spare capacity."""
+    load = [0] * graph.n
+    picked = []
+    for eid in reversed(stack):
+        u, v, _ = graph.edges[eid]
+        if load[u] < caps[u] and load[v] < caps[v]:
+            load[u] += 1
+            load[v] += 1
+            picked.append(eid)
+    return picked
+
+
+def lr_matching_seq(graph: Graph, edge_order: Iterable[int] | None = None) -> Matching:
+    """Sequential local ratio for max-weight matching (2-approximation).
+
+    Pushes each edge of the order with w - phi_u - phi_v > 0, adding that
+    gain to phi_u and phi_v, then unwinds the stack.  With a complete
+    order the result is at least half the optimum, for every order.
+    """
+    phi = [0] * graph.n
+    stack = []
+    for eid in range(graph.m) if edge_order is None else edge_order:
+        u, v, w = graph.edges[eid]
+        gain = w - phi[u] - phi[v]
+        if gain > 0:
+            phi[u] += gain
+            phi[v] += gain
+            stack.append(eid)
+    return make_matching(graph, _lifo_unwind(graph, stack, [1] * graph.n))
+
+
+def lr_bmatching_seq(graph: Graph, b, epsilon, edge_order: Iterable[int] | None = None) -> Matching:
+    """Sequential epsilon-adjusted local ratio for max-weight b-matching.
+
+    Pushes each edge of the order that is not yet pushed and has
+    w > (1+eps)(phi_u + phi_v); its gain w - phi_u - phi_v adds gain/b(u)
+    to phi_u and gain/b(v) to phi_v.  The unwind respects the per-vertex
+    capacities.
+    """
+    caps = _vertex_capacities(graph.n, b)
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    phi = [0] * graph.n
+    stack = []
+    pushed = set()
+    for eid in range(graph.m) if edge_order is None else edge_order:
+        u, v, w = graph.edges[eid]
+        if eid not in pushed and w > (1 + epsilon) * (phi[u] + phi[v]):
+            gain = w - phi[u] - phi[v]
+            phi[u] += gain / caps[u]
+            phi[v] += gain / caps[v]
+            stack.append(eid)
+            pushed.add(eid)
+    return make_matching(graph, _lifo_unwind(graph, stack, caps), caps)
+
+
+# ---------------------------------------------------------------------------
+# Greedy
+
+
+def eps_greedy_set_cover_seq(instance: SetCoverInstance, epsilon) -> Cover:
+    """Greedy set cover accepting any (1+eps)-near-best cost ratio.
+
+    Repeatedly adds the lowest-indexed set whose uncovered-per-weight ratio
+    is within (1+eps) of the best.  Gives a (1+eps)H_Delta approximation.
+    """
+    instance.check_coverable()
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    uncovered = [set(s) for s in instance.sets]
+    covered: set[int] = set()
+    chosen: list[int] = []
+    while len(covered) < instance.m:
+        best = Fraction(0)
+        for i in range(instance.n):
+            r = Fraction(len(uncovered[i]), 1) / instance.weights[i]
+            if r > best:
+                best = r
+        threshold = best / (1 + epsilon)
+        pick = None
+        for i in range(instance.n):
+            if Fraction(len(uncovered[i]), 1) / instance.weights[i] >= threshold:
+                pick = i
+                break
+        newly = uncovered[pick]
+        covered |= newly
+        chosen.append(pick)
+        for i in range(instance.n):
+            if uncovered[i]:
+                uncovered[i] -= newly
+    return Cover(set_ids=tuple(sorted(chosen)))
+
+
+def greedy_vertex_colouring_seq(graph: Graph) -> Colouring:
+    """First-fit colouring in vertex-id order; uses at most Delta+1 colours."""
+    colours = [0] * graph.n
+    for v in range(graph.n):
+        taken = {colours[u] for u in graph.neighbours(v) if colours[u]}
+        c = 1
+        while c in taken:
+            c += 1
+        colours[v] = c
+    return Colouring(kind="vertex", groups=(0,) * graph.n, colours=tuple(colours))
+
+
+# ---------------------------------------------------------------------------
+# Quantities recounted from scratch
+
+
+def potential_phi(instance: SetCoverInstance, covered, threshold: Fraction, epsilon) -> int:
+    """Total uncovered mass of sets whose cost ratio still clears
+    threshold/(1+eps); sc-lnD's bucket-progress potential.
+
+    It recounts from scratch in plain ``Fraction`` arithmetic, apart from
+    the machines' integer cross-multiplied tests, so that it stays an
+    independent check of the phi the run tracks.
+    """
+    epsilon = Fraction(epsilon)
+    cset = set(covered)
+    cut = Fraction(threshold) / (1 + epsilon)
+    total = 0
+    for elems, w in zip(instance.sets, instance.weights):
+        size = sum(1 for e in elems if e not in cset)
+        if size and Fraction(size) / w >= cut:
+            total += size
+    return total
+
+
+def whp_colour_bound(n: int, mu: Fraction, max_degree: int) -> float:
+    """Numeric value of (1 + n^(-mu/2) sqrt(6 ln n) + n^(-mu)) * Delta."""
+    if n < 2:
+        return float(max_degree + 1)
+    fmu = float(Fraction(mu))
+    return (1 + n ** (-fmu / 2) * math.sqrt(6 * math.log(n)) + n ** (-fmu)) * max_degree
+
+
+def store_words(store: dict) -> int:
+    """A store's words counted from scratch; top-level keys are labels,
+    not data."""
+    return sum(words(v) for v in store.values())
+
+
+# ---------------------------------------------------------------------------
+# Plain versions of two hot kernels
 
 
 def misra_gries_by_dict_scan(graph: Graph) -> Colouring:

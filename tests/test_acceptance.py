@@ -14,7 +14,7 @@ from random import Random
 
 from conftest import random_graph
 from mpcgraph import cli
-from mpcgraph.colouring import edge_colouring, vertex_colouring, whp_colour_bound
+from mpcgraph.colouring import edge_colouring, vertex_colouring
 from mpcgraph.exactmath import harmonic
 from mpcgraph.hungry import maximal_clique, mis_fast, mis_simple
 from mpcgraph.instances import (
@@ -33,6 +33,7 @@ from mpcgraph.oracles import (
 from mpcgraph.parallel_setcover import approx_sc_lnDelta
 from mpcgraph.rlr_matching import approx_b_matching, approx_max_matching
 from mpcgraph.rlr_setcover import approx_sc_f
+from references import whp_colour_bound
 
 _audited_runs = 0
 _audit_violations: list[str] = []

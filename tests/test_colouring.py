@@ -8,15 +8,11 @@ import pytest
 
 from conftest import random_graph
 from mpcgraph import colouring
-from mpcgraph.colouring import (
-    default_kappa,
-    edge_colouring,
-    vertex_colouring,
-    whp_colour_bound,
-)
+from mpcgraph.colouring import default_kappa, edge_colouring, vertex_colouring
 from mpcgraph.engine import RetriesExhausted
 from mpcgraph.instances import generate_graph, make_graph, validate
-from mpcgraph.oracles import greedy_vertex_colouring_seq, misra_gries_edge_colouring_seq
+from mpcgraph.oracles import misra_gries_edge_colouring_seq
+from references import greedy_vertex_colouring_seq, whp_colour_bound
 
 
 def test_kappa_one_equals_sequential_greedy():

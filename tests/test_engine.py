@@ -21,11 +21,11 @@ from mpcgraph.engine import (
     WhpFailure,
     derive_seed,
     run_with_retries,
-    store_words,
     words,
 )
 from mpcgraph.exactmath import below, binomial, sample
 from mpcgraph.instances import generate_graph, generate_set_cover
+from references import store_words
 
 
 def idle(mid, store, inbox, rng):
@@ -628,8 +628,9 @@ def test_trace_json_shape(tmp_path):
 
     config = cfg(2, seed=5)
     result = run_with_retries(config, attempt)
-    doc = result.trace_dict(config)
+    doc = result.trace_dict()
     assert doc["schema"] == 1
+    assert doc["config"] == config.to_dict()
     assert doc["total_rounds"] == 1
     assert doc["attempts"][0]["failure"] is None
     text = json.dumps(doc, sort_keys=True)

@@ -31,7 +31,7 @@ from mpcgraph.instances import (
     vertex_cover_encoding,
     write_graph,
 )
-from mpcgraph.oracles import greedy_vertex_colouring_seq
+from references import greedy_vertex_colouring_seq
 
 
 def test_graph_invariants():

@@ -21,16 +21,18 @@ from mpcgraph.oracles import (
     MatchingReduction,
     brute_force_max_matching,
     brute_force_min_cover,
-    eps_greedy_set_cover_seq,
-    greedy_vertex_colouring_seq,
     is_maximal_clique,
     is_maximal_independent_set,
+    misra_gries_edge_colouring_seq,
+)
+from references import (
+    eps_greedy_set_cover_seq,
+    greedy_vertex_colouring_seq,
     lr_bmatching_seq,
     lr_matching_seq,
     lr_set_cover_seq,
-    misra_gries_edge_colouring_seq,
+    misra_gries_by_dict_scan,
 )
-from references import misra_gries_by_dict_scan
 
 
 def p3_weighted():
@@ -142,12 +144,12 @@ def test_phi_representation_exactness():
         red = MatchingReduction(g.n)
         for eid in order:
             u, v, w = g.edges[eid]
-            if red.alive(eid, u, v, w):
+            if eid not in red.pushed and w - red.phi[u] - red.phi[v] > 0:
                 red.push(eid, u, v, w)
         phi_stack = [e for e, _, _, _ in red.stack]
         naive_stack, naive_matching = naive_lr_matching(g, order)
         assert phi_stack == naive_stack
-        assert tuple(sorted(red.unwind(g.n))) == naive_matching
+        assert tuple(sorted(red.unwind())) == naive_matching
 
 
 def test_unwind_is_maximal_over_pushed():
@@ -158,9 +160,9 @@ def test_unwind_is_maximal_over_pushed():
         red = MatchingReduction(g.n)
         for eid in order:
             u, v, w = g.edges[eid]
-            if red.alive(eid, u, v, w):
+            if eid not in red.pushed and w - red.phi[u] - red.phi[v] > 0:
                 red.push(eid, u, v, w)
-        picked = set(red.unwind(g.n))
+        picked = set(red.unwind())
         used = set()
         for eid in picked:
             used.update(g.endpoints(eid))

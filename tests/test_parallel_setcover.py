@@ -10,7 +10,8 @@ from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import alpha_classes, harmonic, pow_threshold, size_class
 from mpcgraph.instances import generate_set_cover, make_set_cover, validate
 from mpcgraph.oracles import brute_force_min_cover
-from mpcgraph.parallel_setcover import approx_sc_lnDelta, potential_phi
+from mpcgraph.parallel_setcover import approx_sc_lnDelta
+from references import potential_phi
 from test_setcover_pins import PINS, SEEDS, _instances
 
 

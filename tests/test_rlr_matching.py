@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from references import push_best_by_fraction_sort
 from mpcgraph import rlr_matching
 from mpcgraph.engine import Cluster
 from mpcgraph.exactmath import ipow_floor
 from mpcgraph.instances import generate_graph, make_graph, validate, validate_b_matching
-from mpcgraph.oracles import MatchingReduction, brute_force_max_matching, lr_bmatching_seq, lr_matching_seq
+from mpcgraph.oracles import MatchingReduction, brute_force_max_matching
 from mpcgraph.rlr_matching import (
     _heavy_test,
     _push_best,
@@ -21,6 +20,14 @@ from mpcgraph.rlr_matching import (
     approx_b_matching,
     approx_max_matching,
 )
+from references import lr_bmatching_seq, lr_matching_seq, push_best_by_fraction_sort
+
+
+def swept(res, m: int) -> list[int]:
+    """The run's push order, then every edge id.  A run stops only when no
+    edge is alive, so the sweep must push nothing; an edge it pushes would
+    top the stack, and the unwind always keeps the top edge."""
+    return [*res.extras["push_order"], *range(m)]
 
 
 def test_p3_every_seed_gives_opt():
@@ -36,7 +43,7 @@ def test_full_branch_single_iteration_matches_vertex_sweep():
     g = generate_graph(10, "1/2", (1, 9), seed=8)
     res = approx_max_matching(g, mu="1", seed=3)  # eta = n^2 >> m
     assert res.iterations == 1
-    replay = lr_matching_seq(g, res.extras["push_order"])
+    replay = lr_matching_seq(g, swept(res, g.m))
     assert replay.edge_ids == res.value.edge_ids
 
 
@@ -56,7 +63,7 @@ def test_stack_replay_identity():
     for _ in range(15):
         g = random_graph(rng, rng.randint(4, 14), 30)
         res = approx_max_matching(g, mu="1/10", seed=rng.randint(0, 99))
-        replay = lr_matching_seq(g, res.extras["push_order"])
+        replay = lr_matching_seq(g, swept(res, g.m))
         assert replay.edge_ids == res.value.edge_ids
 
 
@@ -71,7 +78,7 @@ def test_sampled_branch_at_small_eta():
         assert validate(res.value, g).feasible
         assert 2 * res.value.weight(g) >= opt
         multi += res.iterations > 1
-        replay = lr_matching_seq(g, res.extras["push_order"])
+        replay = lr_matching_seq(g, swept(res, g.m))
         assert replay.edge_ids == res.value.edge_ids
     assert multi > 0  # the sampled branch actually ran
 
@@ -206,7 +213,7 @@ def test_bmatching_replay(monkeypatch):
         b = rng.choice([1, 2, 3])
         eps = Fraction(1, 10)
         res = approx_b_matching(g, b, eps, seed=rng.randint(0, 99))
-        replay = lr_bmatching_seq(g, b, eps, res.extras["push_order"])
+        replay = lr_bmatching_seq(g, b, eps, swept(res, g.m))
         assert replay.edge_ids == res.value.edge_ids
     # Fractional weights and per-vertex capacities, in the full branch and
     # (eta=2, with the budget lifted) the sampled one.
@@ -218,7 +225,7 @@ def test_bmatching_replay(monkeypatch):
         eps = rng.choice([Fraction(1, 10), Fraction(1, 3), Fraction(3, 2)])
         sampled = {"eta": 2, "mu": "1/10"} if trial % 2 else {}
         res = approx_b_matching(g, caps, eps, seed=rng.randint(0, 99), **sampled)
-        replay = lr_bmatching_seq(g, caps, eps, res.extras["push_order"])
+        replay = lr_bmatching_seq(g, caps, eps, swept(res, g.m))
         assert replay.edge_ids == res.value.edge_ids
 
 
@@ -270,15 +277,21 @@ def test_integer_alive_test_equals_fraction_expression(pa, pb, eps, w, offset):
         assert heavy(weight, pa, pb) == (weight > threshold)
 
 
-def _push_best_by_rescan(red: MatchingReduction, candidates, quota: int) -> list[int]:
+def _push_best_by_rescan(red: MatchingReduction, candidates, quota: int, eps) -> list[int]:
     """The central pass as written in the paper: rescan every candidate
-    for the alive one of largest (gain, -eid), in Fraction arithmetic."""
+    for the alive one (not pushed, w > (1+eps)(phi_a + phi_b)) of largest
+    (gain, -eid), gain = w - phi_a - phi_b, in Fraction arithmetic."""
+    phi = red.phi
     out = []
     while len(out) < quota:
-        alive = [rec for rec in candidates if red.alive(*rec)]
+        alive = [
+            (eid, a, b, w)
+            for eid, a, b, w in candidates
+            if eid not in red.pushed and w > (1 + eps) * (phi[a] + phi[b])
+        ]
         if not alive:
             break
-        best = max(alive, key=lambda rec: (red.gain(rec[1], rec[2], rec[3]), -rec[0]))
+        best = max(alive, key=lambda rec: (rec[3] - phi[rec[1]] - phi[rec[2]], -rec[0]))
         red.push(*best)
         out.append(best[0])
     return out
@@ -311,11 +324,11 @@ def vertex_pushes(draw):
     return candidates, caps, phi, pushed, eps, draw(st.integers(1, 6))
 
 
-def _reductions(caps, phi, pushed, eps) -> list[MatchingReduction]:
+def _reductions(caps, phi, pushed) -> list[MatchingReduction]:
     """Two equal reductions, one for the kernel and one for a reference."""
     reds = []
     for _ in range(2):
-        red = MatchingReduction(len(phi), caps, eps)
+        red = MatchingReduction(len(phi), caps)
         red.phi = list(phi)
         red.pushed = set(pushed)
         reds.append(red)
@@ -328,9 +341,9 @@ def test_one_ranking_per_vertex_equals_rescanning(case):
     # The integer alive test and one (gain, -eid) ranking per vertex push
     # the same edges, in the same order, to the same phi as the rescan.
     candidates, caps, phi, pushed, eps, quota = case
-    reds = _reductions(caps, phi, pushed, eps)
+    reds = _reductions(caps, phi, pushed)
     fast = _push_best(reds[0], candidates, quota, _heavy_test(1 + eps))
-    assert fast == _push_best_by_rescan(reds[1], candidates, quota)
+    assert fast == _push_best_by_rescan(reds[1], candidates, quota, eps)
     assert reds[0].phi == reds[1].phi and reds[0].stack == reds[1].stack
 
 
@@ -339,7 +352,7 @@ def test_one_ranking_per_vertex_equals_rescanning(case):
 def test_push_best_equals_fraction_key_sort(case):
     # Integer keys rank exactly as the Fraction gains do, ties included.
     candidates, caps, phi, pushed, eps, quota = case
-    reds = _reductions(caps, phi, pushed, eps)
+    reds = _reductions(caps, phi, pushed)
     heavy = _heavy_test(1 + eps)
     fast = _push_best(reds[0], candidates, quota, heavy)
     assert fast == push_best_by_fraction_sort(reds[1], candidates, quota, heavy)

@@ -13,8 +13,9 @@ from mpcgraph.instances import (
     validate,
     vertex_cover_encoding,
 )
-from mpcgraph.oracles import brute_force_min_cover, lr_set_cover_seq
+from mpcgraph.oracles import brute_force_min_cover
 from mpcgraph.rlr_setcover import approx_sc_f, vertex_cover_2approx
+from references import lr_set_cover_seq
 
 
 def test_p1_branch_matches_sequential():
@@ -50,12 +51,14 @@ def test_f_opt_sweep_zero_tolerance():
 
 def test_replay_matches_sequential_execution():
     # the cover equals the zero-residual sets of a sequential run over the
-    # concatenated per-iteration sampled element order
+    # concatenated per-iteration sampled element order; a sweep over every
+    # element after it must zero no further set, since the run stops only
+    # when every element is covered
     rng = Random(51)
     for _ in range(15):
         inst = generate_set_cover(rng.randint(3, 12), rng.randint(4, 14), 0.3, (1, 9), seed=rng.randint(0, 10**6))
         res = approx_sc_f(inst, mu="1/5", seed=rng.randint(0, 99), eta=2)
-        replay = lr_set_cover_seq(inst, res.extras["element_order"])
+        replay = lr_set_cover_seq(inst, [*res.extras["element_order"], *range(inst.m)])
         assert replay.set_ids == res.value.set_ids
 
 
