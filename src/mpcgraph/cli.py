@@ -130,10 +130,12 @@ class Problem:
     counted: bool = False
 
     def ratio(self, objective, opt) -> Fraction | None:
-        """objective/OPT when minimizing, OPT/objective when maximizing;
-        None when that denominator is zero."""
+        """objective/OPT when minimizing, OPT/objective when maximizing:
+        0 for 0/0, and None (no finite ratio) for a positive number over 0."""
         num, den = (objective, opt) if self.minimizing else (opt, objective)
-        return Fraction(num) / den if den else None
+        if den:
+            return Fraction(num) / den
+        return None if num else Fraction(0)
 
 
 SET_COVER = Problem(
@@ -439,9 +441,9 @@ def cmd_run(args) -> int:
         if opt is not None:
             report["oracle"] = frac_str(opt)
             ratio = problem.ratio(objective, opt)
-            ratio = Fraction(0) if ratio is None else ratio
-            report["ratio"] = frac_str(ratio)
-            report["ratio_decimal"] = frac_decimal(ratio)
+            if ratio is not None:
+                report["ratio"] = frac_str(ratio)
+                report["ratio_decimal"] = frac_decimal(ratio)
     print(json.dumps(report, sort_keys=True, indent=2))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -480,10 +482,8 @@ def cmd_verify(args) -> int:
             return 0
         bound, bound_label = spec.bound(instance, args.epsilon, args.b)
         ratio = problem.ratio(Fraction(report.objective), opt)
-        if ratio is None and opt == 0:
-            ratio = Fraction(0)
         if ratio is None:
-            print(f"OPT={frac_str(opt)} objective=0 FAIL ratio undefined")
+            print(f"OPT={frac_str(opt)} objective={frac_str(Fraction(report.objective))} FAIL ratio undefined")
             return 3
         verdict = "PASS" if ratio <= bound else "FAIL"
         print(

@@ -43,7 +43,7 @@ def _run_colouring(graph: Graph, attempt, kappa, kw) -> RunResult:
 def _group_counts(cluster: Cluster, cap: int, tag: str, what: str) -> tuple:
     """Fold the per-group edge counts to the central machine; a group over
     the cap fails the attempt."""
-    counts, _ = cluster.aggregate(
+    counts = cluster.aggregate(
         "gcounts", lambda a, b: tuple(x + y for x, y in zip(a, b)), label=f"{tag}:counts"
     )
     for i, cnt in enumerate(counts):

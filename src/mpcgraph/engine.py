@@ -7,26 +7,27 @@ Every payload is sized in words (one word per integer/rational/id) and
 checked against the per-machine budget; violations abort the run with the
 trace preserved.
 
-Two kinds of message travel.  A plain message, sent by a step of an
-ordinary round, is stored once, as the (sender, key, value) its receiver
-sees in its inbox, whatever its key.  An engine delivery is what the
-waves of ``broadcast`` and ``aggregate`` send (keys "bc:<name>" and
-"agg:<name>"); it goes to a separate list and lands in its receiver's
-store instead (a broadcast payload, or a fold part).
+Every message travels one way: it is kept as the (sender, key, value)
+its receiver gets in the next round.  A round either is a wave of
+``broadcast`` or ``aggregate`` or is not, and so is everything it sends.
+After an ordinary round the next step sees the messages as its inbox,
+whatever their keys.  After a wave (keys "bc:<name>" and "agg:<name>")
+the next round writes them into its receivers' stores instead, as a
+broadcast payload or a list of fold parts, and its steps see an empty
+inbox.
 
 Accounting is proportional to what changed.  Each message is sized once,
-at send: its words are added to its receiver's in-flight total, and a
-delivery also carries its size into the store.  A flat message (a scalar,
-or a tuple of scalars) is sized inline, and a ``Payload`` message carries
-the size its sender declared, which must equal ``words`` of its value;
-only other messages go through ``words``.  Each machine keeps the
-size of every store value it has seen; when a step returns a new store,
-only the values that are not the same objects as before are sized again.
-So a step must never mutate a store value, or a value it has sent, in
-place: it builds a new one instead.
+at send, and its words are added to its receiver's in-flight total.  A
+flat message (a scalar, or a tuple of scalars) is sized inline, and a
+``Payload`` message carries the size its sender declared, which must
+equal ``words`` of its value; only other messages go through ``words``.
+Each machine keeps the size of every store value it has seen; when a step
+returns a new store, only the values that are not the same objects as
+before are sized again.  So a step must never mutate a store value, or a
+value it has sent, in place: it builds a new one instead.
 
 Determinism: a machine step's RNG is Random(derive_seed(seed, round,
-machine id)), and every inbox and delivery list is in (sender, key) order
+machine id)), and every machine's arrivals are in (sender, key) order
 by construction: once all steps of a round have run, the senders'
 outboxes are dispatched in ascending sender order, each stably sorted by
 key when it mixes keys, so no inbox is ever sorted.  Traces are
@@ -296,7 +297,7 @@ class RoundRecord:
         return base
 
 
-# Key prefixes of the engine deliveries that broadcast and aggregate send.
+# Key prefixes of what the waves of broadcast and aggregate send.
 _BC = "bc:"
 _AGG = "agg:"
 _KEY = itemgetter(1)  # of an outbox entry (dst, key, value)
@@ -312,24 +313,19 @@ class Cluster:
         self._store_words: list[int] = [0] * m
         # Per machine: store key -> (value, its word size).
         self._sizes: list[dict] = [dict() for _ in range(m)]
-        # Per destination, what was sent to it this round: the plain messages
-        # (sender, key, value), exactly as its next step will see them; the
-        # engine deliveries (sender, "bc:"/"agg:" key, value, word size) of
-        # a collective wave; and the words of both together.
+        # Per destination, the messages (sender, key, value) sent to it this
+        # round, and their words.
         self._pending: list[list[tuple[int, str, object]]] = [[] for _ in range(m)]
-        self._deliveries: list[list[tuple[int, str, object, int]]] = [[] for _ in range(m)]
         self._pending_words: list[int] = [0] * m
-        # Set while broadcast/aggregate run their waves: what those steps
-        # send goes to the deliveries.
+        # _delivering is set while broadcast/aggregate run their waves, and
+        # _absorbing while _pending holds what a wave sent: the next round
+        # writes that into its receivers' stores, not their inboxes.
         self._delivering = False
+        self._absorbing = False
         self.rounds: list[RoundRecord] = []
         self._order = list(range(m)) if exec_order is None else list(exec_order)
 
     # -- state inspection -------------------------------------------------
-
-    @property
-    def machine_count(self) -> int:
-        return self.config.machine_count
 
     def preload(self, mid: int, key: str, value) -> None:
         """Initial input placement (before round 0); not a charged round."""
@@ -362,32 +358,28 @@ class Cluster:
         idx = len(self.rounds)
         m = self.config.machine_count
         budget = self.config.memory_budget_words
-        inboxes, deliveries, received = self._pending, self._deliveries, self._pending_words
-        self._pending = [[] for _ in range(m)]
-        self._deliveries = [[] for _ in range(m)]
+        arrivals, received = self._pending, self._pending_words
+        outgoing = self._pending = [[] for _ in range(m)]
         pending_words = self._pending_words = [0] * m
-        delivering = self._delivering
-        outgoing = self._deliveries if delivering else self._pending
+        absorbing, self._absorbing = self._absorbing, self._delivering
         outboxes: list = [()] * m
         new_stores: list[dict] = list(self.stores)
         new_words: list[int] = list(self._store_words)
 
         for mid in self._order:
-            store = absorbed = self.stores[mid]
-            delivered = None
-            if deliveries[mid]:
-                absorbed, delivered = self._absorb(store, deliveries[mid])
+            store = seen = self.stores[mid]
+            inbox = tuple(arrivals[mid])
+            if absorbing and inbox:
+                seen, inbox = self._absorb(store, inbox), ()
             rng = StepRandom(self.config.seed, idx, mid)
-            new_store, outboxes[mid] = step(mid, absorbed, tuple(inboxes[mid]), rng)
+            new_store, outboxes[mid] = step(mid, seen, inbox, rng)
             if new_store is not store:
-                if delivered:
-                    self._sizes[mid].update(delivered)
                 new_words[mid] = self._sized(mid, new_store)
             new_stores[mid] = new_store
 
         # Senders go in ascending order, each with its outbox stably sorted
-        # by key, so every inbox and delivery list fills in (sender, key)
-        # order whatever the execution order.  Each outbox is let go once
+        # by key, so every machine's arrivals fill in (sender, key) order
+        # whatever the execution order.  Each outbox is let go once
         # dispatched, so the round holds one copy of its messages.
         sent = [0] * m
         peaks = [0] * m
@@ -412,10 +404,7 @@ class Cluster:
                     size = words(value)
                 out_words += size
                 pending_words[dst] += size
-                if delivering:
-                    outgoing[dst].append((mid, key, value, size))
-                else:
-                    outgoing[dst].append((mid, key, value))
+                outgoing[dst].append((mid, key, value))
             messages += len(outbox)
             sent[mid] = out_words
             peak = max(self._store_words[mid] + received[mid], new_words[mid] + out_words)
@@ -459,29 +448,23 @@ class Cluster:
         return total
 
     @staticmethod
-    def _absorb(store: dict, deliveries: list) -> tuple[dict, dict]:
-        """Apply engine deliveries (broadcast payloads, fold parts).
-
-        Returns the store the step sees and the (value, words) of every
-        store key the deliveries wrote, from the sizes the deliveries carry.
-        """
-        delivered: dict[str, tuple] = {}
-        for _, key, value, size in deliveries:
-            if key.startswith(_BC):
-                delivered[key[len(_BC) :]] = (value, size)
-            else:
-                name = key[len(_AGG) :] + "__parts"
-                parts, total = delivered.get(name) or ([], 0)
-                parts.append(value)
-                delivered[name] = (parts, total + size)
+    def _absorb(store: dict, arrivals: tuple) -> dict:
+        """The store a step sees after a wave: ``store`` with each "bc:"
+        message's payload under its name, and each name's "agg:" messages
+        as a fresh list of fold parts under "<name>__parts"."""
         staged = dict(store)
-        for name, (value, _) in delivered.items():
-            staged[name] = value
-        return staged, delivered
+        parts: dict[str, list] = {}
+        for _, key, value in arrivals:
+            if key.startswith(_BC):
+                staged[key[len(_BC) :]] = value
+            else:
+                parts.setdefault(key[len(_AGG) :] + "__parts", []).append(value)
+        staged.update(parts)
+        return staged
 
     def _waves(self, make_step: Callable, depth: int, label: str) -> None:
-        """Run a collective's ``depth`` waves; what their steps send are
-        engine deliveries."""
+        """Run a collective's ``depth`` waves; the round after the last one
+        absorbs what it sent."""
         self._delivering = True
         try:
             for wave in range(1, depth + 1):
@@ -491,20 +474,20 @@ class Cluster:
 
     # -- collective operations ---------------------------------------------
 
-    def broadcast(self, key: str, value, label: str = "broadcast") -> int:
+    def broadcast(self, key: str, value, label: str = "broadcast") -> None:
         """Disseminate a payload from machine 0 over the fanout-ary tree.
 
         Uses ceil(log_fanout(M)) charged rounds; each sender emits at most
         fanout-1 copies per round.  After completion every machine holds
-        the payload (store or inbox); from the next round on, every step
-        reads it as ``store[key].value``.
+        the payload, in its store or on its way there; from the next round
+        on, every step reads it as ``store[key].value``.
         """
         m = self.config.machine_count
         payload = value if isinstance(value, Payload) else Payload(value)
         if m == 1:
             self.stores[0][key] = payload
             self._store_words[0] = self._sized(0, self.stores[0])
-            return 0
+            return
         k = self.config.fanout
         depth = log_ceil(m, k)
 
@@ -525,14 +508,15 @@ class Cluster:
             return bstep
 
         self._waves(make_step, depth, label)
-        return depth
 
     def aggregate(self, key: str, combine: Callable, label: str = "aggregate"):
         """Fold per-machine store[key] values up the tree to machine 0.
 
-        Returns (value, rounds used); combine must be associative and
-        commutative.  The folded value is at the central machine (store
-        plus in-flight inbox) when this returns.
+        Returns the folded value; combine must be associative and
+        commutative.  Uses ceil(log_fanout(M)) charged rounds.  When this
+        returns, the value is split between machine 0's store[key] and the
+        last wave's parts on their way to it; the next round leaves those
+        parts in machine 0's store as "<key>__parts".
         """
         m = self.config.machine_count
         k = self.config.fanout
@@ -562,17 +546,18 @@ class Cluster:
 
         self._waves(make_step, depth, label)
         value = self.stores[0][key]
-        for _, k2, v, _ in self._deliveries[0]:
-            if k2 == _AGG + key:
-                value = combine(value, v)
-        return value, depth
+        if depth:  # the last wave's parts, still on their way to machine 0
+            for _, k2, v in self._pending[0]:
+                if k2 == _AGG + key:
+                    value = combine(value, v)
+        return value
 
     def aggregate_and_broadcast(self, key: str, combine, label: str = "agg+bc"):
         """Fold store[key] to central, then rebroadcast the total under the
         same key.  Both directions are charged."""
-        value, up = self.aggregate(key, combine, label=label + "/up")
-        down = self.broadcast(key, value, label=label + "/down")
-        return value, up + down
+        value = self.aggregate(key, combine, label=label + "/up")
+        self.broadcast(key, value, label=label + "/down")
+        return value
 
     # -- trace export -------------------------------------------------------
 

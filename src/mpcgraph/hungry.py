@@ -29,6 +29,7 @@ view's pull and sweep.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .engine import (
     BUDGET_FACTOR,
@@ -190,10 +191,6 @@ def _final_sweep(cluster: Cluster, view, tag: str) -> tuple:
     return tuple(sorted(cluster.stores[0][key].value))
 
 
-def _vh_total(cluster: Cluster, label: str) -> int:
-    return cluster.aggregate("vh", lambda a, b: a + b, label=label)[0]
-
-
 class _Residual:
     """The residual graph: each machine's alive vertices with their
     alive-neighbour sets.  Dead vertices are dropped by a charged notify
@@ -290,7 +287,7 @@ class _Residual:
         if newly:
             self.update(cluster, newly, thr, f"{tag}:phase-upd")
         self.recount(cluster, thr, f"{tag}:post")
-        heavy_left = _vh_total(cluster, f"{tag}:vh2")  # a charged round, also under -O
+        heavy_left = cluster.aggregate("vh", operator.add, label=f"{tag}:vh2")  # a charged round, also under -O
         if heavy_left:
             raise AssertionError("phase-end MIS left a heavy vertex alive")
 
@@ -393,7 +390,7 @@ def _phased_attempt(graph: Graph, cluster: Cluster, view):
         groups = ipow_ceil(n, phase * alpha)
         cluster.broadcast("phase", phase, label=f"{tag}:phase")
         view.recount(cluster, thr, tag)
-        vh = _vh_total(cluster, f"{tag}:vh")
+        vh = cluster.aggregate("vh", operator.add, label=f"{tag}:vh")
 
         while vh >= groups:
             passes += 1
@@ -409,7 +406,7 @@ def _phased_attempt(graph: Graph, cluster: Cluster, view):
 
             newly = _scan_round(cluster, view, groups_of, f"{tag}:scan")
             view.update(cluster, newly, thr, tag)
-            vh = _vh_total(cluster, f"{tag}:vh")
+            vh = cluster.aggregate("vh", operator.add, label=f"{tag}:vh")
             vh_series.append((phase, vh_before, vh))
 
         newly = _pull_rounds(cluster, view, thr, tag)
@@ -470,7 +467,7 @@ def _mis_fast_attempt(graph: Graph, cluster: Cluster):
             return {**store, "dsum": sum(len(anbrs[v]) for v in alive)}, []
 
         cluster.run_round(dsum_step, label="mis2:dsum")
-        total, _ = cluster.aggregate("dsum", lambda a, b: a + b, label="mis2:edges")
+        total = cluster.aggregate("dsum", operator.add, label="mis2:edges")
         return total // 2
 
     def cand_step(mid, store, inbox, rng):

@@ -127,7 +127,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
         return {**store, "maxratio": best}, []
 
     cluster.run_round(ratio_step, label="psc:maxratio")
-    level, _ = cluster.aggregate("maxratio", lambda a, b: max(a, b), label="psc:L0")
+    level = cluster.aggregate("maxratio", max, label="psc:L0")
     level0 = level
 
     covered_total = 0
@@ -199,8 +199,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                 return Payload(tuple(map(operator.add, a.value, b.value)), classes + 2)
 
             cluster.run_round(stats_step, label=f"psc[{iterations}]:stats")
-            stats, _ = cluster.aggregate_and_broadcast("stats", add_stats, label=f"psc[{iterations}]:sizes")
-            stats = stats.value
+            stats = cluster.aggregate_and_broadcast("stats", add_stats, label=f"psc[{iterations}]:sizes").value
             class_sizes = stats[:-1]
             phi_here.append(stats[-1])
             if not any(class_sizes):
@@ -249,7 +248,7 @@ def _psc_attempt(instance: SetCoverInstance, epsilon: Fraction, cluster: Cluster
                         out[gid] = out.get(gid, 0) + c
                     return Payload(out, 3 * len(out))
 
-                gcounts, _ = cluster.aggregate("gcounts", merge_counts, label=f"psc[{iterations}]:gcheck")
+                gcounts = cluster.aggregate("gcounts", merge_counts, label=f"psc[{iterations}]:gcheck")
                 # c > 4*m^(mu/2) is monotone in c: test the largest group.
                 biggest = max(gcounts.value.values(), default=0)
                 oversized = exceeds_pow(biggest, 4, m, half_mu)

@@ -22,6 +22,7 @@ vertex's candidates once.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .engine import (
@@ -144,7 +145,7 @@ def _matching_attempt(graph: Graph, intw: list[int], cluster: Cluster):
             }, []
 
         cluster.run_round(apply_step, label=f"match[{iterations}]:apply")
-        e_size, _ = cluster.aggregate_and_broadcast("esize", lambda a, b: a + b, label=f"match[{iterations}]:count")
+        e_size = cluster.aggregate_and_broadcast("esize", operator.add, label=f"match[{iterations}]:count")
         e_series.append(e_size)
 
     matching = make_matching(graph, _unwind_round(cluster, n, None, "match"))
@@ -320,7 +321,7 @@ def _bmatching_attempt(graph: Graph, intw: list[int], caps: list[int], epsilon: 
             }, []
 
         cluster.run_round(apply_step, label=f"bmatch[{iterations}]:apply")
-        e_size, _ = cluster.aggregate_and_broadcast("esize", lambda a, b: a + b, label=f"bmatch[{iterations}]:count")
+        e_size = cluster.aggregate_and_broadcast("esize", operator.add, label=f"bmatch[{iterations}]:count")
         e_series.append(e_size)
 
     ids = _unwind_round(cluster, n, caps, "bmatch")

@@ -11,6 +11,7 @@ the same tree; all of those rounds are charged.
 
 from __future__ import annotations
 
+import operator
 from random import Random
 
 from .engine import (
@@ -164,7 +165,7 @@ def _sc_f_attempt(instance: SetCoverInstance, cluster: Cluster):
         push_order.extend(_central_round(cluster, instance, tag, lambda newly: ({"c_new": tuple(newly)}, [])))
         cluster.broadcast("c_new", cluster.stores[0]["c_new"], label=f"{tag}:bcast")
         cluster.run_round(drop_step, label=f"{tag}:drop")
-        u_size, _ = cluster.aggregate_and_broadcast("usize", lambda a, b: a + b, label=f"{tag}:count")
+        u_size = cluster.aggregate_and_broadcast("usize", operator.add, label=f"{tag}:count")
         u_series.append(u_size)
 
     extras = {
@@ -230,7 +231,7 @@ def _vc_attempt(instance: SetCoverInstance, cluster: Cluster):
         element_order.extend(_central_round(cluster, instance, tag, in_cover))
         cluster.run_round(forward_step, label=f"{tag}:forward")
         cluster.run_round(drop_step, label=f"{tag}:drop")
-        u_size, _ = cluster.aggregate_and_broadcast("usize", lambda a, b: a + b, label=f"{tag}:count")
+        u_size = cluster.aggregate_and_broadcast("usize", operator.add, label=f"{tag}:count")
         u_series.append(u_size)
 
     extras = {"u_series": u_series, "element_order": element_order}

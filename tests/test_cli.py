@@ -1,5 +1,7 @@
 import json
 import re
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +171,57 @@ def test_verify_oracle_too_large(tmp_path, capsys):
     assert code == 0
     code, out = run_cli(capsys, "verify", str(path), str(sol), "--algorithm", "match-2", "--against-oracle")
     assert code == 0 and "TooLarge" in out
+
+
+@pytest.mark.parametrize(
+    "problem,objective,opt,expected",
+    [
+        (cli.SET_COVER, 0, 0, Fraction(0)),
+        (cli.SET_COVER, 2, 0, None),
+        (cli.SET_COVER, 3, 2, Fraction(3, 2)),
+        (cli.MATCHING, 0, 0, Fraction(0)),
+        (cli.MATCHING, 0, 1, None),
+        (cli.MATCHING, 2, 3, Fraction(3, 2)),
+    ],
+)
+def test_ratio_is_zero_for_zero_over_zero_and_none_for_positive_over_zero(problem, objective, opt, expected):
+    assert problem.ratio(objective, opt) == expected
+
+
+def test_verify_fails_a_positive_cover_of_an_empty_universe(tmp_path, capsys):
+    # Before: OPT = 0 made the ratio 0, and the cover of weight 2 passed.
+    path, sol = tmp_path / "e.sc", tmp_path / "s.sol"
+    path.write_text("2 0\n1 0\n1 0\n")
+    sol.write_text("cover\n0\n1\n")
+    code, out = run_cli(capsys, "verify", str(path), str(sol), "--algorithm", "sc-f", "--against-oracle")
+    assert code == 3 and "OPT=0 objective=2 FAIL ratio undefined" in out and "PASS" not in out
+
+
+def test_edgeless_graph_ratio_is_zero(tmp_path, capsys):
+    # Before: bench left 0/0 empty while run --oracle reported 0.
+    path = tmp_path / "g3"
+    path.write_text("3 0\n")
+    code, out = run_cli(capsys, "bench", "match-2", str(path), "--seeds", "2")
+    assert code == 0 and [row.split(",")[-1] for row in out.splitlines()[1:]] == ["0.000000", "0.000000"]
+    code, out = run_cli(capsys, "run", "match-2", str(path), "--oracle")
+    assert code == 0 and json.loads(out)["ratio"] == "0"
+
+
+def test_no_finite_ratio_is_left_out(tmp_path, capsys, monkeypatch):
+    """An oracle above an empty matching has no finite ratio: run leaves it
+    out of the report, verify fails and bench leaves the cell empty."""
+    path, sol = tmp_path / "g3", tmp_path / "m.sol"
+    path.write_text("3 0\n")
+    spec = cli.ALGORITHMS["match-2"]
+    claimed = replace(spec.problem, oracle=lambda instance, aux: 1)
+    monkeypatch.setitem(cli.ALGORITHMS, "match-2", replace(spec, problem=claimed))
+    code, out = run_cli(capsys, "run", "match-2", str(path), "--oracle", "--out", str(sol))
+    report = json.loads(out)
+    assert code == 0 and report["oracle"] == "1" and "ratio" not in report
+    code, out = run_cli(capsys, "verify", str(path), str(sol), "--algorithm", "match-2", "--against-oracle")
+    assert code == 3 and "FAIL ratio undefined" in out
+    code, out = run_cli(capsys, "bench", "match-2", str(path), "--seeds", "2")
+    assert code == 0 and out.splitlines()[1:] == ["0,1,1,0,", "1,1,1,0,"]
 
 
 def test_infeasible_input_exit_code(tmp_path, capsys):

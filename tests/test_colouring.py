@@ -116,7 +116,7 @@ def test_more_groups_than_machines():
     g = generate_graph(20, "1/2", (1, 1), seed=12)
     res = vertex_colouring(g, kappa=7, seed=3)
     assert validate(res.value, g).feasible
-    assert res.cluster.machine_count < 7
+    assert res.cluster.config.machine_count < 7
     res_e = edge_colouring(g, kappa=7, seed=3)
     assert validate(res_e.value, g).feasible
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from random import Random
@@ -136,8 +137,8 @@ def test_memory_exceeded_preserves_trace():
 
 
 def test_plain_messages_may_use_delivery_prefixes():
-    """Only broadcast and aggregate waves make engine deliveries; a step of
-    an ordinary round may send any key, and its receiver sees it."""
+    """Only what a broadcast or aggregate wave sends lands in stores; a
+    step of an ordinary round may send any key, and its receiver sees it."""
     cl = Cluster(cfg(2))
     cl.run_round(lambda mid, s, i, rng: (s, [(1, "bc:x", 5), (1, "agg:y", (1, 2))] if mid == 0 else []), "send")
     seen = {}
@@ -159,17 +160,17 @@ def test_round_indices_strictly_increase():
 
 
 def holds(cl: Cluster, mid: int, key: str) -> bool:
-    """``key`` sits in machine ``mid``'s store or in a broadcast delivery
+    """``key`` sits in machine ``mid``'s store or in a broadcast message
     on its way to that machine."""
-    return key in cl.stores[mid] or any(k == "bc:" + key for _, k, _, _ in cl._deliveries[mid])
+    return key in cl.stores[mid] or any(k == "bc:" + key for _, k, _ in cl._pending[mid])
 
 
 def test_broadcast_round_counts():
     for machines, fanout, expect in ((9, 3, 2), (1, 3, 0), (100, 10, 2), (11, 10, 2), (5, 2, 3)):
         cl = Cluster(cfg(machines, fanout=fanout))
         cl.stores[0]["p"] = Payload("hello")
-        rounds = cl.broadcast("p", Payload("hello"))
-        assert rounds == expect
+        cl.broadcast("p", Payload("hello"))
+        assert len(cl.rounds) == expect
         assert all(holds(cl, m, "p") for m in range(machines))
         # after any subsequent round, the payload is in every store
         cl.run_round(idle, "settle")
@@ -190,15 +191,39 @@ def test_aggregate_examples():
     cl = Cluster(cfg(3, fanout=2))
     for m, v in enumerate([2, 3, 5]):
         cl.preload(m, "v", v)
-    total, rounds = cl.aggregate("v", lambda a, b: a + b)
-    assert total == 10 and rounds == 2
+    assert cl.aggregate("v", operator.add) == 10 and len(cl.rounds) == 2
+    # One machine runs no wave, so a plain message sent under the fold's
+    # key is no part of the fold.
     cl1 = Cluster(cfg(1))
     cl1.preload(0, "v", 42)
-    assert cl1.aggregate("v", max) == (42, 0)
+    cl1.run_round(lambda mid, s, i, rng: (s, [(0, "agg:v", 99)]), "send")
+    assert cl1.aggregate("v", max) == 42 and len(cl1.rounds) == 1
     cl3 = Cluster(cfg(3, fanout=2))
     for m, v in enumerate([4, 0, 7]):
         cl3.preload(m, "v", v)
-    assert cl3.aggregate("v", lambda a, b: a + b)[0] == 11
+    assert cl3.aggregate("v", operator.add) == 11
+
+
+def test_next_round_after_aggregate_sees_no_inbox_and_the_parts():
+    """What the golden digests rest on: the round after a fold absorbs the
+    last wave's parts, so its step gets an empty inbox, and machine 0's
+    store keeps them as "<key>__parts" (a charged leftover)."""
+    cl = Cluster(cfg(3, fanout=2))
+    for m, v in enumerate([2, 3, 5]):
+        cl.preload(m, "v", v)
+    assert cl.aggregate("v", operator.add) == 10
+    seen = {}
+
+    def look(mid, store, inbox, rng):
+        seen[mid] = inbox
+        return store, []
+
+    rec = cl.run_round(look, "after")
+    assert seen == {0: (), 1: (), 2: ()}
+    assert cl.stores[0]["v__parts"] == [3]  # machine 1's value, sent in the last wave
+    assert cl.stores[0]["v"] == 7  # machine 2's 5, folded in by the last wave
+    assert rec.words_received == (1, 0, 0)
+    assert cl._store_words[0] == 2
 
 
 def test_broadcast_then_aggregate_bit_sums_to_machine_count():
@@ -211,8 +236,7 @@ def test_broadcast_then_aggregate_bit_sums_to_machine_count():
             return {**store, "bit": 1 if "payload" in store else 0}, []
 
         cl.run_round(count_step, "bit")
-        total, _ = cl.aggregate("bit", lambda a, b: a + b)
-        assert total == machines
+        assert cl.aggregate("bit", operator.add) == machines
 
 
 def test_aggregate_rejects_bad_combine():
@@ -230,7 +254,7 @@ def test_aggregate_probe_compares_payload_folds():
         cl = Cluster(cfg(3, fanout=2))
         for m, (v, size) in enumerate(zip([2, 3, 5], sizes)):
             cl.preload(m, "v", Payload(v, size))
-        return cl.aggregate("v", combine)[0]
+        return cl.aggregate("v", combine)
 
     total = fold(lambda a, b: Payload(a.value + b.value, 1))
     assert (total.value, total.word_size) == (10, 1)
@@ -245,15 +269,13 @@ def test_back_to_back_aggregates_ignore_stale_parts():
     cl = Cluster(cfg(5, fanout=2))
     for m in range(5):
         cl.preload(m, "v", m + 1)
-    first, _ = cl.aggregate("v", lambda a, b: a + b)
-    assert first == 15
+    assert cl.aggregate("v", operator.add) == 15
     # reset local values and fold again under the same key
     def reset(mid, store, inbox, rng):
         return {**store, "v": 1}, []
 
     cl.run_round(reset, "reset")
-    second, _ = cl.aggregate("v", lambda a, b: a + b)
-    assert second == 5
+    assert cl.aggregate("v", operator.add) == 5
 
 
 def test_determinism_across_execution_orders():
@@ -294,7 +316,7 @@ def test_inbox_sorted_by_sender_then_key():
 @st.composite
 def traffic(draw):
     """A machine count, an execution order (the default or a permutation)
-    and a list of rounds: plain rounds and single delivery waves whose
+    and a list of rounds: plain rounds and single collective waves whose
     machines send drawn (dst, key) messages in arbitrary order, and real
     broadcasts and aggregates."""
     m = draw(st.integers(1, 5))
@@ -309,16 +331,16 @@ def traffic(draw):
 @given(traffic())
 def test_every_inbox_and_delivery_arrives_in_sender_key_order(case):
     """Whatever the execution order and the order of sends, each step's
-    inbox, and the deliveries each machine absorbs, are the stable
+    inbox, and the wave messages each machine absorbs, are the stable
     (sender, key) sort of what was sent to it in the round before."""
     m, order, rounds = case
     log = []  # per round: whether it was a wave, and mid -> (inbox, absorbed, outbox)
     absorbed = []
     run_round, absorb = Cluster.run_round, Cluster._absorb
 
-    def recording_absorb(store, deliveries):
-        result = absorb(store, deliveries)
-        absorbed.append(list(deliveries))
+    def recording_absorb(store, arrivals):
+        result = absorb(store, arrivals)
+        absorbed.append(list(arrivals))
         return result
 
     def recording_run_round(cluster, step, label=""):
@@ -357,7 +379,7 @@ def test_every_inbox_and_delivery_arrives_in_sender_key_order(case):
             elif kind == "broadcast":
                 cl.broadcast("p", (1, 2))
             else:
-                cl.aggregate("v", lambda a, b: a + b)
+                cl.aggregate("v", operator.add)
         cl.run_round(idle, "last")
 
     assert all(call[:2] == ((), None) for call in log[0][1].values())
@@ -368,7 +390,7 @@ def test_every_inbox_and_delivery_arrives_in_sender_key_order(case):
             inbox, delivered, _ = after[mid]
             if wave:
                 assert inbox == ()
-                assert delivered == ([(*t, words(t[2])) for t in expected] or None)
+                assert delivered == (expected or None)
             else:
                 assert list(inbox) == expected
                 assert delivered is None
@@ -645,8 +667,8 @@ def recount(value) -> int:
 
 def deep_payload_audit(cluster):
     """Every cached word size must equal a from-scratch count: each
-    Payload's, each machine's store total, each in-flight delivery's and
-    each machine's in-flight total.
+    Payload's, each machine's store total and each machine's in-flight
+    total.
 
     Cached sizes stay honest only while no step mutates a store value or
     a sent value in place.
@@ -656,19 +678,12 @@ def deep_payload_audit(cluster):
             if isinstance(value, Payload):
                 assert words(value.value) == value.word_size
         assert cluster._store_words[mid] == store_words(store)
-    for box in cluster._deliveries:
-        for _, _, value, size in box:
-            assert size == recount(value)
     assert cluster._pending_words == in_flight_words(cluster)
 
 
 def in_flight_words(cluster) -> list[int]:
-    """Each machine's words on their way to it, counted from scratch over
-    its plain messages and its engine deliveries."""
-    return [
-        sum(recount(v) for _, _, v in plain) + sum(recount(v) for _, _, v, _ in delivered)
-        for plain, delivered in zip(cluster._pending, cluster._deliveries)
-    ]
+    """Each machine's words on their way to it, counted from scratch."""
+    return [sum(recount(v) for _, _, v in box) for box in cluster._pending]
 
 
 @pytest.fixture
@@ -680,9 +695,9 @@ def audit_every_round(monkeypatch):
     def audited(cluster, step, label=""):
         received = in_flight_words(cluster)
         record = run_round(cluster, step, label)
-        sent = [0] * cluster.machine_count
-        for box in cluster._pending + cluster._deliveries:
-            for sender, _, value, *_ in box:
+        sent = [0] * cluster.config.machine_count
+        for box in cluster._pending:
+            for sender, _, value in box:
                 sent[sender] += recount(value)
         assert record.words_received == tuple(received)
         assert record.words_sent == tuple(sent)
@@ -717,7 +732,7 @@ def test_driver_payload_sizes_are_honest(audit_every_round):
 @pytest.mark.parametrize("wave", [False, True])
 def test_audit_catches_a_misdeclared_message_size(wave, audit_every_round):
     """A message whose Payload declares fewer words than it holds, sent
-    plain or as a delivery, fails the audit."""
+    plain or in a collective wave, fails the audit."""
 
     def lying(mid, store, inbox, rng):
         return store, ([(1, "agg:x" if wave else "x", Payload((1, 2, 3), 2))] if mid == 0 else [])
